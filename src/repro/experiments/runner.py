@@ -33,6 +33,7 @@ from repro.placement.baselines import natural_order, random_order
 from repro.placement.conflict_aware import conflict_aware_order
 from repro.placement.pettis_hansen import pettis_hansen_order
 from repro.placement.image import MemoryImage
+from repro.placement.inline import derive_trace
 from repro.placement.pipeline import (
     PlacementOptions,
     PlacementResult,
@@ -180,38 +181,50 @@ class ExperimentRunner:
     # -- cold path: run the interpreter ------------------------------------
 
     def _compute(self, workload: Workload) -> tuple[WorkloadArtifacts, int]:
-        """Full build+profile+place+trace; returns interpreter step count."""
+        """Full build+profile+place+trace; returns interpreter step count.
+
+        The trace input is interpreted once, on the pre-inline program;
+        the placed program's trace is derived from that run through the
+        inliner's block origins.  With the middle-end off, that run is
+        also the original program's trace; with it on, the original
+        (pre-opt) program needs a run of its own.
+        """
         recorder = obs.current()
         with recorder.span("build", cat="pipeline"):
             program = workload.build()
         placement = optimize_program(
             program, workload.profiling_inputs(self.scale), self.options
         )
+        pre = placement.pre_inline_profile
         trace_input = workload.trace_input(self.scale)
         with recorder.span("trace_generation", cat="pipeline"):
-            result = Interpreter(placement.program).run(
+            result = Interpreter(pre.program).run(
                 trace_input, max_instructions=MAX_TRACE_INSTRUCTIONS
             )
-            original_result = Interpreter(program).run(
-                trace_input, max_instructions=MAX_TRACE_INSTRUCTIONS
+            pre_trace = BlockTrace.from_execution(result)
+            trace = derive_trace(
+                pre.program, placement.inline_report, pre_trace
             )
-        pre = placement.pre_inline_profile
-        post = placement.profile
+            original_trace = pre_trace
+            interp_steps = result.instructions
+            if pre.program is not program:
+                original_result = Interpreter(program).run(
+                    trace_input, max_instructions=MAX_TRACE_INSTRUCTIONS
+                )
+                original_trace = BlockTrace.from_execution(original_result)
+                interp_steps += original_result.instructions
         orig = placement.original_profile
-        interp_steps = (
+        interp_steps += (
             pre.dynamic_instructions
-            + (post.dynamic_instructions if post is not pre else 0)
             + (orig.dynamic_instructions if orig is not pre else 0)
             + sum(p.dynamic_instructions for p in placement.opt_profiles)
-            + result.instructions
-            + original_result.instructions
         )
         art = WorkloadArtifacts(
             workload=workload,
             original_program=program,
             placement=placement,
-            trace=BlockTrace.from_execution(result),
-            original_trace=BlockTrace.from_execution(original_result),
+            trace=trace,
+            original_trace=original_trace,
         )
         return art, interp_steps
 
@@ -287,7 +300,7 @@ class ExperimentRunner:
             placement = optimize_from_profiles(
                 program,
                 pre_profile,
-                lambda inlined: profile_from_dict(
+                lambda inlined, _report: profile_from_dict(
                     payload.profiles["post"], inlined
                 ),
                 self.options,

@@ -3,7 +3,10 @@
 The paper's IMPACT-I profiler rewrites the C source with probe calls and
 runs it over many representative inputs; we get the same node/arc weights
 by running the IR interpreter over many seeded input streams and folding
-each execution's block trace into dense weight arrays.
+each execution's block trace into dense weight arrays.  The folding needs
+only the trace, so :func:`profile_traces` also profiles traces that were
+derived rather than interpreted (the inliner's, see
+:func:`repro.placement.inline.derive_trace`).
 """
 
 from __future__ import annotations
@@ -14,16 +17,18 @@ import numpy as np
 
 from repro import obs
 from repro.interp.interpreter import (
+    DEFAULT_MAX_INSTRUCTIONS,
     ExecutionResult,
     Interpreter,
     VIA_FALL,
     VIA_TAKEN,
 )
+from repro.interp.trace import BlockTrace
 from repro.ir.instructions import Opcode
 from repro.ir.program import Program
 from repro.placement.profile_data import ProfileData
 
-__all__ = ["Profiler", "profile_program"]
+__all__ = ["Profiler", "profile_program", "profile_traces"]
 
 
 class Profiler:
@@ -49,8 +54,8 @@ class Profiler:
             program.block_num_instructions, dtype=np.int64
         )
 
-    def record(self, result: ExecutionResult) -> None:
-        """Fold one execution into the profile."""
+    def record(self, result: ExecutionResult | BlockTrace) -> None:
+        """Fold one execution's block trace into the profile."""
         n = self.program.num_blocks
         profile = self._profile
         counts = np.bincount(result.block_ids, minlength=n).astype(np.int64)
@@ -96,17 +101,24 @@ class Profiler:
 def profile_program(
     program: Program,
     input_sets: Iterable[Iterable[int]],
-    max_instructions: int | None = None,
+    max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
 ) -> ProfileData:
     """Profile ``program`` over several input streams (one run each)."""
     interpreter = Interpreter(program)
+    return profile_traces(
+        program,
+        (
+            interpreter.run(input_values, max_instructions=max_instructions)
+            for input_values in input_sets
+        ),
+    )
+
+
+def profile_traces(
+    program: Program, runs: Iterable[ExecutionResult | BlockTrace]
+) -> ProfileData:
+    """Profile ``program`` from block traces of its executions."""
     profiler = Profiler(program)
-    for input_values in input_sets:
-        if max_instructions is None:
-            result = interpreter.run(input_values)
-        else:
-            result = interpreter.run(
-                input_values, max_instructions=max_instructions
-            )
-        profiler.record(result)
+    for run in runs:
+        profiler.record(run)
     return profiler.finish()

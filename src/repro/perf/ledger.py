@@ -192,12 +192,19 @@ class PerfLedger:
 # -- harvesting ------------------------------------------------------------
 
 
+#: What a histogram summary (a dict carrying ``buckets``) contributes:
+#: its bucket indices come and go with the data, so only these are kept.
+HISTOGRAM_KEYS = ("count", "p50", "p99")
+
+
 def _flatten(prefix: str, node, out: dict[str, float]) -> None:
     if isinstance(node, bool):
         return
     if isinstance(node, (int, float)):
         out[prefix] = float(node)
     elif isinstance(node, dict):
+        if isinstance(node.get("buckets"), dict):
+            node = {k: node[k] for k in HISTOGRAM_KEYS if k in node}
         for key in sorted(node):
             child = f"{prefix}.{key}" if prefix else str(key)
             _flatten(child, node[key], out)

@@ -21,12 +21,22 @@ continuation block.  Because the machine has a global register file and no
 architected frames (DESIGN.md choice #3), the splice is semantics
 preserving by construction — a property the test suite checks by
 differential interpretation.
+
+The splice is also *trace preserving*: every CALL→JMP and RET→JMP rewrite
+keeps one dynamic block per executed block.  The inliner records where
+each block of the result came from (:attr:`InlineReport.origins`), and
+:func:`derive_trace` uses that to rewrite a pre-inline block trace into
+the inlined program's — the post-inline profile and the placed-program
+trace then follow from the pre-inline runs without interpreting again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from repro.interp.trace import BlockTrace
 from repro.ir.block import BasicBlock
 from repro.ir.function import Function
 from repro.ir.instructions import Instruction, Opcode
@@ -34,7 +44,18 @@ from repro.ir.program import Program
 from repro.ir.validate import validate_program
 from repro.placement.profile_data import ProfileData
 
-__all__ = ["InlinePolicy", "InlineReport", "InlinedSite", "inline_expand"]
+__all__ = [
+    "InlinePolicy",
+    "InlineReport",
+    "InlinedSite",
+    "derive_trace",
+    "inline_expand",
+]
+
+#: Where a block of the inlined program came from: the chain of pre-inline
+#: call-site bids it was cloned through (``()`` if never cloned) and its
+#: pre-inline bid.
+Origin = tuple[tuple[int, ...], int]
 
 
 @dataclass(frozen=True)
@@ -93,6 +114,9 @@ class InlineReport:
     skipped_syscall: int = 0
     skipped_budget: int = 0
     skipped_cold: int = 0
+    #: Per block of the inlined program (indexed by its bid): its
+    #: :data:`Origin` in the pre-inline program.
+    origins: list[Origin] = field(default_factory=list, repr=False)
 
     @property
     def code_increase_pct(self) -> float:
@@ -130,6 +154,11 @@ def inline_expand(
     # Mutable working copy: function name -> list of blocks.
     working: dict[str, list[BasicBlock]] = {
         function.name: [block.clone({}) for block in function.blocks]
+        for function in program
+    }
+    # Parallel to ``working``: each block's origin in ``program``.
+    origins: dict[str, list[Origin]] = {
+        function.name: [((), block.bid) for block in function.blocks]
         for function in program
     }
     syscalls = {f.name for f in program if f.is_syscall}
@@ -224,6 +253,14 @@ def inline_expand(
         # Splice the clone right after the call site, mimicking
         # source-level expansion in the natural layout.
         caller_blocks[index + 1: index + 1] = cloned
+        # A clone's chain is the site's own chain, the site, then the
+        # chain the callee block already carried (nested expansion).
+        site_chain, site_bid = origins[arc.caller][index]
+        chain = site_chain + (site_bid,)
+        origins[arc.caller][index + 1: index + 1] = [
+            (chain + callee_chain, bid)
+            for callee_chain, bid in origins[arc.callee]
+        ]
 
         current_instructions += callee_size
         report.eliminated_dynamic_calls += arc.weight
@@ -232,6 +269,9 @@ def inline_expand(
         )
 
     report.final_instructions = current_instructions
+    report.origins = [
+        origin for function in program for origin in origins[function.name]
+    ]
 
     functions = [
         Function(
@@ -244,3 +284,67 @@ def inline_expand(
     inlined = Program(functions, entry=program.entry)
     validate_program(inlined)
     return inlined, report
+
+
+def derive_trace(
+    program: Program, report: InlineReport, trace: BlockTrace
+) -> BlockTrace:
+    """Rewrite a block trace of ``program`` into the inlined program's.
+
+    ``report`` is what :func:`inline_expand` returned for ``program``.
+    Each executed block maps to exactly one inlined block, picked by the
+    chain of inlined call sites active at that point: a CALL at an
+    inlined site enters that site's clone context, any other CALL enters
+    the callee's own body (the empty chain), and a RET returns to the
+    caller's context.  ``via`` carries over unchanged, since CALL→JMP and
+    RET→JMP both leave through the terminator.  Raises ``ValueError`` if
+    the trace visits a block the inlined program has no copy of.
+    """
+    n = program.num_blocks
+    contexts: dict[tuple[int, ...], int] = {(): 0}
+    for chain, _ in report.origins:
+        contexts.setdefault(chain, len(contexts))
+    remap = np.full(len(contexts) * n, -1, dtype=np.int64)
+    for new_bid, (chain, bid) in enumerate(report.origins):
+        remap[contexts[chain] * n + bid] = new_bid
+    block_ids = trace.block_ids
+    if len(contexts) == 1:
+        context_of = np.zeros(len(block_ids), dtype=np.int64)
+    else:
+        # (context, site bid) -> context entered by that site's clone.
+        child = {
+            contexts[chain[:-1]] * n + chain[-1]: context
+            for chain, context in contexts.items() if chain
+        }
+        kinds = [block.kind for block in program.blocks]
+        is_call = np.asarray([k is Opcode.CALL for k in kinds], dtype=bool)
+        is_ret = np.asarray([k is Opcode.RET for k in kinds], dtype=bool)
+        events = np.flatnonzero((is_call | is_ret)[block_ids])
+        calls = is_call[block_ids[events]].tolist()
+        sites = block_ids[events].tolist()
+        # Context of each segment: before the first event, then after
+        # each event in turn.
+        segments = [0]
+        stack: list[int] = []
+        current = 0
+        for site, call in zip(sites, calls):
+            if call:
+                stack.append(current)
+                current = child.get(current * n + site, 0)
+            elif stack:
+                current = stack.pop()
+            else:
+                raise ValueError("trace returns with an empty call stack")
+            segments.append(current)
+        bounds = np.concatenate(([0], events + 1, [len(block_ids)]))
+        context_of = np.repeat(
+            np.asarray(segments, dtype=np.int64), np.diff(bounds)
+        )
+    mapped = remap[context_of * n + block_ids]
+    if len(mapped) and mapped.min() < 0:
+        position = int(np.argmax(mapped < 0))
+        raise ValueError(
+            f"trace position {position}: block {int(block_ids[position])} "
+            "has no copy in the inlined program"
+        )
+    return BlockTrace(block_ids=mapped.astype(np.int32), via=trace.via)

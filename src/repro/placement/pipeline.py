@@ -8,10 +8,13 @@
     5. global layout                  -> repro.placement.global_layout
 
 :func:`optimize_program` runs all five and links the result into a
-:class:`~repro.placement.image.MemoryImage`.  After inlining, the program
-is re-profiled over the same inputs — the probe-based equivalent of the
-paper carrying weights through the transformation — so trace selection and
-the layouts see weights for the post-inline control graphs.
+:class:`~repro.placement.image.MemoryImage`.  The post-inline profile is
+derived from the pre-inline profiling runs, not measured again: the
+inliner records each new block's origin, each run's block trace is
+rewritten through those origins
+(:func:`~repro.placement.inline.derive_trace`), and the rewritten traces
+are folded into weights for the post-inline control graphs — the paper
+carrying weights through the transformation.
 
 Steps can be disabled individually through :class:`PlacementOptions`,
 which is what the ablation benchmarks exercise.
@@ -23,6 +26,8 @@ from dataclasses import dataclass, field, replace
 from collections.abc import Callable, Iterable, Sequence
 
 from repro import obs
+from repro.interp.interpreter import Interpreter
+from repro.interp.trace import BlockTrace
 from repro.ir.program import Program
 from repro.opt import OptOptions, PipelineReport, run_opt
 from repro.placement.function_layout import FunctionLayout, layout_function
@@ -32,7 +37,12 @@ from repro.placement.global_layout import (
     layout_globally,
 )
 from repro.placement.image import MemoryImage
-from repro.placement.inline import InlinePolicy, InlineReport, inline_expand
+from repro.placement.inline import (
+    InlinePolicy,
+    InlineReport,
+    derive_trace,
+    inline_expand,
+)
 from repro.placement.profile_data import ProfileData
 from repro.placement.trace_selection import (
     MIN_PROB,
@@ -149,7 +159,7 @@ def optimize_program(
     """Run Step 0 (if configured), profiling, and the placement pipeline."""
     # Imported here to avoid a circular import: repro.interp.profiler
     # depends on repro.placement.profile_data.
-    from repro.interp.profiler import profile_program
+    from repro.interp.profiler import profile_program, profile_traces
 
     recorder = obs.current()
     source = program
@@ -164,7 +174,14 @@ def optimize_program(
 
     with recorder.span("profiling", cat="pipeline",
                        runs=len(profiling_inputs)):
-        pre_profile = profile_program(program, profiling_inputs)
+        interpreter = Interpreter(program)
+        # Kept until inlining is done: the post-inline profile is derived
+        # from these traces.
+        runs = [
+            BlockTrace.from_execution(interpreter.run(input_values))
+            for input_values in profiling_inputs
+        ]
+        pre_profile = profile_traces(program, runs)
 
     original_profile = pre_profile
     if program is not source:
@@ -172,10 +189,13 @@ def optimize_program(
                            runs=len(profiling_inputs)):
             original_profile = profile_program(source, profiling_inputs)
 
-    def reprofile(inlined: Program) -> ProfileData:
-        with recorder.span("reprofile", cat="pipeline",
-                           runs=len(profiling_inputs)):
-            return profile_program(inlined, profiling_inputs)
+    def reprofile(inlined: Program, report: InlineReport) -> ProfileData:
+        with recorder.span("reprofile", cat="pipeline", runs=len(runs)):
+            profile = profile_traces(
+                inlined, (derive_trace(program, report, run) for run in runs)
+            )
+        runs.clear()
+        return profile
 
     return optimize_from_profiles(
         program, pre_profile, reprofile, options,
@@ -189,7 +209,7 @@ def optimize_program(
 def optimize_from_profiles(
     program: Program,
     pre_profile: ProfileData,
-    reprofile: Callable[[Program], ProfileData],
+    reprofile: Callable[[Program, InlineReport], ProfileData],
     options: PlacementOptions = PlacementOptions(),
     original_program: Program | None = None,
     opt_report: PipelineReport | None = None,
@@ -202,10 +222,12 @@ def optimize_from_profiles(
     middle-end ran, callers pass the pre-opt ``original_program`` (plus
     its ``original_profile`` and the middle-end's report/profiles) so the
     result can still serve unoptimized baselines.  ``reprofile`` maps the
-    inlined program to its profile.  In the normal path that is a fresh
-    set of profiling runs; the artifact store instead rebinds a persisted
-    profile document, which is how a warm-cache run reproduces the
-    identical :class:`PlacementResult` with zero interpreter steps.
+    inlined program and the inliner's report to the inlined program's
+    profile.  In the normal path that derives it from the pre-inline
+    profiling runs through the report's block origins; the artifact store
+    instead rebinds a persisted profile document, which is how a
+    warm-cache run reproduces the identical :class:`PlacementResult` with
+    zero interpreter steps.
     """
     recorder = obs.current()
     if options.inline is not None:
@@ -213,7 +235,7 @@ def optimize_from_profiles(
             inlined, report = inline_expand(
                 program, pre_profile, options.inline
             )
-        profile = reprofile(inlined)
+        profile = reprofile(inlined, report)
     else:
         inlined = program
         profile = pre_profile
@@ -222,6 +244,7 @@ def optimize_from_profiles(
             final_instructions=program.num_instructions,
             total_dynamic_calls=pre_profile.dynamic_calls,
             eliminated_dynamic_calls=0,
+            origins=[((), bid) for bid in range(program.num_blocks)],
         )
 
     result = place(inlined, profile, options)

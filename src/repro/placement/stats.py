@@ -108,7 +108,8 @@ def trace_selection_stats(
 def inline_stats(
     report: InlineReport, post_inline_profile: ProfileData
 ) -> InlineStats:
-    """Assemble the Table 3 row from the inliner report and the re-profile.
+    """Assemble the Table 3 row from the inliner report and the post-inline
+    profile.
 
     ``DI's per call`` and ``CT's per call`` are measured *after* inline
     expansion, as in the paper, hence the post-inline profile.

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
+from repro import obs
+from repro.engine.telemetry import Telemetry
 from repro.experiments.runner import ExperimentRunner
+from repro.interp.interpreter import Interpreter
+from repro.opt import OptOptions
+from repro.placement.pipeline import PlacementOptions
 
 
 class TestArtifacts:
@@ -27,6 +32,39 @@ class TestArtifacts:
         art = small_runner.artifacts("wc")
         assert art.image is art.placement.image
         assert art.program is art.placement.program
+
+
+class TestInterpretOnce:
+    def test_cold_build_runs_each_input_once(self, monkeypatch):
+        programs = []
+        run = Interpreter.run
+
+        def counting_run(self, *args, **kwargs):
+            programs.append(self.program)
+            return run(self, *args, **kwargs)
+
+        monkeypatch.setattr(Interpreter, "run", counting_run)
+        art = ExperimentRunner(scale="small").artifacts("cccp")
+        assert art.placement.inline_report.inlined_sites
+        # One run per profiling input plus the trace input, all on the
+        # original program: neither the post-inline profile nor the
+        # placed trace is interpreted.
+        runs = len(art.workload.profiling_inputs("small")) + 1
+        assert len(programs) == runs
+        assert all(program is art.original_program for program in programs)
+
+    @pytest.mark.parametrize("passes", [None, "lvn,simplify,dce"])
+    def test_telemetry_counts_interpreted_instructions(self, passes):
+        telemetry = Telemetry()
+        options = PlacementOptions(opt=OptOptions.parse(passes))
+        runner = ExperimentRunner(
+            scale="small", options=options, telemetry=telemetry
+        )
+        recorder = obs.Recorder()
+        with obs.use(recorder):
+            runner.artifacts("cccp")
+        executed = recorder.metrics.counter_values()["interp_instructions"]
+        assert telemetry.totals()["interp_instructions"] == executed
 
 
 class TestAddresses:

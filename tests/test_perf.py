@@ -9,6 +9,7 @@ import urllib.request
 import pytest
 
 from repro.cli import main
+from repro.obs.metrics import MetricsRegistry
 from repro.perf.dashboard import render_dashboard, trend_section_html
 from repro.perf.flame import render_flamegraph, write_collapsed
 from repro.perf.ledger import (
@@ -110,6 +111,27 @@ class TestLedger:
         assert "search.strategy" not in metrics
         assert not any(key.startswith("torn") for key in metrics)
         assert flatten_snapshot("x", {"a": {"b": 2}}) == {"x.a.b": 2.0}
+
+    def test_harvest_keeps_histogram_summary_not_buckets(self, tmp_path):
+        registry = MetricsRegistry()
+        for value in (1, 2, 3, 50, 700):
+            registry.histogram("run_ms").observe(value)
+        (tmp_path / "BENCH_obs.json").write_text(json.dumps({
+            "metrics": registry.to_dict(), "wall_s": 1.5,
+        }))
+        metrics = harvest_metrics(str(tmp_path))
+        histogram = {
+            key for key in metrics
+            if key.startswith("obs.metrics.histograms.run_ms.")
+        }
+        assert histogram == {
+            "obs.metrics.histograms.run_ms.count",
+            "obs.metrics.histograms.run_ms.p50",
+            "obs.metrics.histograms.run_ms.p99",
+        }
+        assert metrics["obs.metrics.histograms.run_ms.count"] == 5.0
+        assert metrics["obs.wall_s"] == 1.5
+        assert not any(".buckets." in key for key in metrics)
 
 
 class TestSentinel:
