@@ -87,6 +87,9 @@ __all__ = [
 #: checksums; v1 entries fail verification and are quarantined.
 ENTRY_FORMAT = "repro-artifact-v2"
 
+#: Format tag of ``index.json``.
+INDEX_FORMAT = "repro-index-v1"
+
 #: Default eviction threshold, overridable via ``REPRO_CACHE_MAX_BYTES``.
 DEFAULT_MAX_BYTES = 4 * 1024**3
 
@@ -393,8 +396,7 @@ class ArtifactStore:
                 except OSError:
                     # A concurrent worker published the same key first.
                     shutil.rmtree(stage, ignore_errors=True)
-                self._prune_locked(self.max_bytes, None)
-                self._write_index_locked()
+                self._index_put_locked(key, meta)
             return True
         except OSError:
             shutil.rmtree(stage, ignore_errors=True)
@@ -708,7 +710,6 @@ class ArtifactStore:
             evicted = self._prune_locked(
                 max(0, max_bytes - kept_quarantine), None
             )
-            self._write_index_locked()
             bytes_after = (
                 sum(entry.nbytes for entry in self.entries())
                 + sum(s for _m, _n, s in quarantine)
@@ -724,6 +725,7 @@ class ArtifactStore:
     def _prune_locked(
         self, max_bytes: int | None, max_entries: int | None
     ) -> int:
+        """LRU-evict beyond the limits, then rebuild the index (one scan)."""
         entries = sorted(self.entries(), key=lambda e: e.last_used)
         total = sum(entry.nbytes for entry in entries)
         removed = 0
@@ -735,8 +737,7 @@ class ArtifactStore:
             shutil.rmtree(self._entry_dir(victim.key), ignore_errors=True)
             total -= victim.nbytes
             removed += 1
-        if removed:
-            self._write_index_locked()
+        self._write_index_locked(entries)
         return removed
 
     # -- index -------------------------------------------------------------
@@ -752,7 +753,7 @@ class ArtifactStore:
         try:
             with open(path) as handle:
                 index = json.load(handle)
-            if index.get("format") != "repro-index-v1":
+            if index.get("format") != INDEX_FORMAT:
                 raise ValueError(f"bad index format {index.get('format')!r}")
             return index
         except (OSError, ValueError, json.JSONDecodeError):
@@ -763,13 +764,57 @@ class ArtifactStore:
             with open(path) as handle:
                 return json.load(handle)
         except (OSError, json.JSONDecodeError):
-            return {"format": "repro-index-v1", "entries": {}}
+            return {"format": INDEX_FORMAT, "entries": {}}
 
-    def _write_index_locked(self) -> None:
-        """Best-effort summary of the store (derived; rebuilt after writes)."""
+    def _index_put_locked(self, key: str, meta: dict) -> None:
+        """Add a just-published entry to the index.
+
+        One index read and write instead of a scan of every entry's
+        ``meta.json``, so a put stays cheap as the store grows.  The
+        indexed ``bytes`` are summed for the budget check; a missing or
+        unparsable index, or a total over ``max_bytes``, falls back to
+        the full LRU prune, which ranks entries by their ``meta.json``
+        (the index's ``last_used`` and ``hits`` lag behind lookups).
+        """
+        path = os.path.join(self.root, "index.json")
+        entry_dir = self._entry_dir(key)
+        try:
+            with open(path) as handle:
+                index = json.load(handle)
+            if index.get("format") != INDEX_FORMAT:
+                raise ValueError(f"bad index format {index.get('format')!r}")
+            entries = index["entries"]
+            entries[key] = {
+                "workload": meta.get("workload", "?"),
+                "scale": meta.get("scale", "?"),
+                "created": meta["created"],
+                "last_used": meta["last_used"],
+                "hits": 0,
+                "bytes": sum(
+                    os.path.getsize(os.path.join(entry_dir, name))
+                    for name in os.listdir(entry_dir)
+                ),
+            }
+            total = sum(int(entry["bytes"]) for entry in entries.values())
+        except (OSError, ValueError, KeyError, TypeError, AttributeError):
+            total = None
+        if total is None or total > self.max_bytes:
+            self._prune_locked(self.max_bytes, None)
+        else:
+            self._write_json(path, index)
+
+    def _write_index_locked(
+        self, entries: list[StoreEntry] | None = None
+    ) -> None:
+        """Rebuild the best-effort index from a scan of ``objects/``.
+
+        ``entries`` is a scan the caller already made; ``None`` rescans.
+        """
+        if entries is None:
+            entries = self.entries()
         try:
             index = {
-                "format": "repro-index-v1",
+                "format": INDEX_FORMAT,
                 "entries": {
                     entry.key: {
                         "workload": entry.workload,
@@ -779,7 +824,7 @@ class ArtifactStore:
                         "hits": entry.hits,
                         "bytes": entry.nbytes,
                     }
-                    for entry in self.entries()
+                    for entry in entries
                 },
             }
             self._write_json(os.path.join(self.root, "index.json"), index)

@@ -90,7 +90,10 @@ class Telemetry:
         table record's wall already includes the artifact rehydrations it
         performed (see :class:`JobRecord`), so summing every record would
         double-count rehydration time; the table-only sum is the run's
-        end-to-end table regeneration time.
+        end-to-end table regeneration time.  It leaves out
+        artifact builds and ``explain`` jobs, which dominate many runs, so
+        ``jobs_wall_s_sum`` sums ``wall_s`` over **every** record (a
+        rehydration counts both alone and inside its table).
         """
         return {
             "jobs": len(self.records),
@@ -110,6 +113,7 @@ class Telemetry:
                 record.wall_s for record in self.records
                 if record.kind == "table"
             ),
+            "jobs_wall_s_sum": sum(record.wall_s for record in self.records),
         }
 
     def to_dict(self) -> dict:

@@ -43,8 +43,9 @@ EOF_SENTINEL = -1
 class Opcode(enum.IntEnum):
     """Opcodes of the mini ISA.
 
-    The integer values are used directly for dispatch in the interpreter's
-    inner loop; keep them dense.
+    Serialisation uses the names and the interpreter emits Python per
+    opcode (:func:`repro.interp.interpreter.block_source`), so the integer
+    values only need to be distinct.
     """
 
     # Arithmetic / logic (rd, rs1, rs2-or-imm).

@@ -260,8 +260,12 @@ class RunReport:
             if totals:
                 lines.append(
                     f"  jobs {totals.get('jobs', 0)}, "
-                    f"interp instructions {totals.get('interp_instructions', 0)}, "
-                    f"table wall {totals.get('wall_s_sum', 0.0):.2f}s"
+                    f"interp instructions {totals.get('interp_instructions', 0)}"
+                )
+                lines.append(
+                    f"  wall: table jobs "
+                    f"{totals.get('wall_s_sum', 0.0):.2f}s, all jobs "
+                    f"{totals.get('jobs_wall_s_sum', 0.0):.2f}s"
                 )
                 hits = totals.get("store_hits", 0)
                 misses = totals.get("store_misses", 0)

@@ -143,6 +143,65 @@ class TestStore:
         assert len(store.entries()) <= 1
 
 
+class TestIndexedPut:
+    """A put under budget updates ``index.json`` without a full scan."""
+
+    @staticmethod
+    def _count_scans(monkeypatch) -> list[int]:
+        scans = [0]
+        scan = ArtifactStore.entries
+
+        def counting_entries(self):
+            scans[0] += 1
+            return scan(self)
+
+        monkeypatch.setattr(ArtifactStore, "entries", counting_entries)
+        return scans
+
+    def test_puts_under_budget_scan_at_most_once(self, tmp_path, monkeypatch):
+        store = ArtifactStore(tmp_path)
+        scans = self._count_scans(monkeypatch)
+        for i in range(30):
+            store.put(f"{i:02d}" * 12, _payload(i))
+        assert scans[0] <= 1
+        with open(os.path.join(store.root, "index.json")) as handle:
+            index = json.load(handle)
+        assert len(index["entries"]) == 30
+        monkeypatch.undo()
+        by_key = {entry.key: entry.nbytes for entry in store.entries()}
+        assert {
+            key: row["bytes"] for key, row in index["entries"].items()
+        } == by_key
+
+    def test_over_budget_put_evicts_least_recently_used(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        store.put("a" * 24, _payload(1))
+        store.put("b" * 24, _payload(2))
+        size = max(entry.nbytes for entry in store.entries())
+        store.get("a" * 24)          # "b" is now least recently used
+        store.max_bytes = int(2.5 * size)
+        store.put("c" * 24, _payload(3))
+        keys = {entry.key for entry in store.entries()}
+        assert keys == {"a" * 24, "c" * 24}
+        index = store.load_index()
+        assert set(index["entries"]) == keys
+
+    @pytest.mark.parametrize("damage", ["delete", "garbage"])
+    def test_damaged_index_is_rebuilt_on_put(self, tmp_path, damage):
+        store = ArtifactStore(tmp_path)
+        store.put("a" * 24, _payload(1))
+        index_path = os.path.join(store.root, "index.json")
+        if damage == "delete":
+            os.unlink(index_path)
+        else:
+            with open(index_path, "w") as handle:
+                handle.write('{"format": "repro-index-v1", "entries": [')
+        store.put("b" * 24, _payload(2))
+        with open(index_path) as handle:
+            index = json.load(handle)
+        assert set(index["entries"]) == {"a" * 24, "b" * 24}
+
+
 class TestIntegrity:
     """Corrupt, truncated, or racing entries are misses, never crashes."""
 
