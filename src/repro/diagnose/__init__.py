@@ -12,13 +12,13 @@ inter-function conflict matrix that makes the paper's DFS-vs-natural
 layout claim directly observable (``repro explain``, ``repro report
 --html``).
 
-Attribution follows the obs layer's null-object pattern exactly: the
+Attribution is the ``diagnose`` kind of :mod:`repro.ambient`: the
 process-wide default is :data:`NULL`, whose every operation is a no-op,
 and every hook in the simulators is guarded by ``enabled`` — an
 unattributed run computes nothing extra and its :class:`CacheStats` are
 byte-identical (test-asserted).  When on, each worker process collects
 into its own :class:`Collector` and ships ``to_dict()`` back through
-``JobOutcome.attribution``; merging replaces whole entries (replays of
+``JobOutcome.sidecars``; merging replaces whole entries (replays of
 one configuration are deterministic), so ``--jobs N`` attribution is
 identical to ``--jobs 1``.
 """
@@ -26,9 +26,9 @@ identical to ``--jobs 1``.
 from __future__ import annotations
 
 import os
-import threading
 from contextlib import contextmanager
 
+from repro import ambient
 from repro.diagnose.classify import Attribution, MissProbe, attribute
 from repro.diagnose.symbols import SymbolTable
 
@@ -52,7 +52,7 @@ class NullCollector:
     enabled = False
 
     def scope(self, workload=None, layout=None):
-        return _NULL_SCOPE
+        return ambient.NULL_CONTEXT
 
     def register_symbols(self, workload, layout, symbols):
         pass
@@ -63,19 +63,6 @@ class NullCollector:
 
     def merge_dict(self, data):
         pass
-
-
-class _NullScope:
-    __slots__ = ()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        return False
-
-
-_NULL_SCOPE = _NullScope()
 
 
 class Collector:
@@ -166,44 +153,12 @@ class Collector:
 #: The zero-overhead default collector.
 NULL = NullCollector()
 
-_CURRENT: Collector | NullCollector = NULL
-_TLS = threading.local()
-
-
-def current() -> Collector | NullCollector:
-    """The collector attribution hooks should write to (never ``None``).
-
-    A thread's :func:`use` override wins over the process-wide
-    :func:`install` default, so concurrent service worker threads each
-    collect into their own collector.
-    """
-    override = getattr(_TLS, "current", None)
-    return override if override is not None else _CURRENT
-
-
-def install(collector: Collector | NullCollector) -> Collector | NullCollector:
-    """Make ``collector`` the process-wide current collector.
-
-    Also clears this thread's :func:`use` override: a forked pool
-    worker inherits the parent's override, and its explicit install
-    must supersede that dead-end collector.
-    """
-    global _CURRENT
-    _CURRENT = collector
-    _TLS.current = None
-    return collector
-
-
-@contextmanager
-def use(collector: Collector | NullCollector):
-    """Make ``collector`` current for this thread, restoring on exit.
-
-    Thread-local (unlike :func:`install`): two threads explaining
-    different workloads concurrently must not interleave entries.
-    """
-    previous = getattr(_TLS, "current", None)
-    _TLS.current = collector
-    try:
-        yield collector
-    finally:
-        _TLS.current = previous
+_KIND = ambient.Kind(
+    "diagnose", NULL,
+    fresh=lambda _: Collector(),
+    ship=Collector.to_dict,
+    absorb=Collector.merge_dict,
+)
+current = _KIND.current
+install = _KIND.install
+use = _KIND.use

@@ -37,7 +37,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro import diagnose, obs
+# diagnose is imported for its ambient-kind registration: a spawned
+# worker must know every kind a job's ``sinks`` can name.
+from repro import ambient, diagnose, obs  # noqa: F401
 from repro.engine import faults
 from repro.perf import profiler as perf_profiler
 from repro.engine.store import ArtifactStore
@@ -77,25 +79,19 @@ class JobOutcome:
 
     ``counters`` carries store-side robustness counts (today just
     ``quarantined``) for the scheduler to fold into the run telemetry.
-    ``obs_records``/``obs_metrics`` carry the worker's observability
-    spans, events, and metric snapshot when the run is being traced
-    (empty otherwise — an unobserved run ships no extra bytes).
-    ``attribution`` likewise carries the worker's serialized 3C miss
-    attribution (:meth:`repro.diagnose.Collector.to_dict`) when the run
-    was started with attribution on, and is empty otherwise.
-    ``profile`` carries the worker's collapsed hot-path stacks
-    (``{"a;b;c": seconds}``, :mod:`repro.perf.profiler`) when the run
-    was started with ``--profile-out``, and is empty otherwise.
+    ``sidecars`` maps an :mod:`repro.ambient` kind name to what the
+    worker's own sink of that kind shipped: ``"obs"`` spans, events and
+    a metric snapshot, ``"diagnose"`` the serialized 3C miss
+    attribution, ``"profile"`` collapsed hot-path stacks.  It is empty
+    when the job wrote into its caller's sinks, or into none — an
+    unobserved run ships no extra bytes.
     """
 
     job_id: str
     value: object
     records: list[JobRecord] = field(default_factory=list)
     counters: dict = field(default_factory=dict)
-    obs_records: list = field(default_factory=list)
-    obs_metrics: dict = field(default_factory=dict)
-    attribution: dict = field(default_factory=dict)
-    profile: dict = field(default_factory=dict)
+    sidecars: dict = field(default_factory=dict)
 
 
 def workloads_for_table(table: str) -> tuple[str, ...]:
@@ -210,10 +206,7 @@ def execute_job(
     use_cache: bool = True,
     runner=None,
     attempt: int = 0,
-    observe: bool = False,
-    attribute: bool = False,
-    trace: str | None = None,
-    profile: bool = False,
+    sinks: dict | None = None,
 ) -> JobOutcome:
     """Run one job; the sequential scheduler and pool workers both use this.
 
@@ -224,28 +217,16 @@ def execute_job(
     its injected failures) but **not** the PRNG seed, which depends only
     on the job id so retried work stays byte-identical.
 
-    ``observe=True`` makes a worker process (where no recorder is
-    installed) collect observability spans/events for this job and ship
-    them back in the outcome; in-process callers inherit whatever
-    recorder is already current, so their records flow in directly.
-    ``attribute=True`` does the same for 3C miss attribution: a worker
-    installs a fresh :class:`repro.diagnose.Collector` and ships its
-    serialized entries; in-process callers record straight into the
-    collector the caller installed.
-
-    ``profile=True`` wraps the job's execution in cProfile the same
-    way: a worker (or forked child) collects into a fresh
-    :class:`repro.perf.profiler.ProfileCollector` and ships its
-    collapsed stacks; in-process callers capture straight into the
-    collector the caller installed.  Profiling never touches seeding
-    or outputs — profiled and unprofiled runs are byte-identical.
-
-    ``trace`` carries the service request's trace id across the fork:
-    the fresh recorder a pool child creates stamps every span/event
-    with it, so once the records ship back and land in the trace-dir
-    dump they still join to the request that caused them.  It never
-    touches seeding or outputs — traced and untraced runs are
-    byte-identical.
+    ``sinks`` (:func:`repro.ambient.active` in the parent) names the
+    ambient sinks the caller collects into.  For each one this process
+    cannot write to — none is installed (a spawned worker) or the
+    current one was inherited across a fork — the job collects into a
+    fresh sink and ships it back in ``JobOutcome.sidecars``.
+    In-process callers write straight into their own sinks.  The obs
+    kind's entry is the service request's trace id, so a worker's spans
+    still join the request that caused them.  Sinks never touch seeding
+    or outputs — observed, attributed and profiled runs are
+    byte-identical to plain ones.
     """
     from repro.experiments.runner import ExperimentRunner
 
@@ -255,45 +236,15 @@ def execute_job(
     random.seed(seed)
     np.random.seed(seed)
 
-    recorder = obs.current()
-    own_recorder = None
-    if observe and (
-        not recorder.enabled
-        or getattr(recorder, "_pid", None) != os.getpid()
-    ):
-        # Either no recorder is installed (spawned worker) or the current
-        # one was inherited across a fork — its in-memory records can
-        # never travel back to the parent, so collect into a fresh
-        # recorder and ship the records through the outcome instead.
-        own_recorder = obs.Recorder(trace=trace)
-        obs.install(own_recorder)
-        recorder = own_recorder
-
-    collector = diagnose.current()
-    own_collector = None
-    if attribute and (
-        not collector.enabled
-        or getattr(collector, "_pid", None) != os.getpid()
-    ):
-        # Same reasoning as the recorder above: a worker (or a forked
-        # child) cannot mutate the parent's collector, so record into a
-        # fresh one and ship the entries through the outcome.
-        own_collector = diagnose.Collector()
-        diagnose.install(own_collector)
-
-    profiler = perf_profiler.NULL
-    own_profiler = None
-    if profile:
-        profiler = perf_profiler.current()
-        if (
-            not profiler.enabled
-            or getattr(profiler, "_pid", None) != os.getpid()
-        ):
-            # Same reasoning again: a worker's collapsed stacks travel
-            # home through the outcome, not through shared memory.
-            own_profiler = perf_profiler.ProfileCollector()
-            perf_profiler.install(own_profiler)
-            profiler = own_profiler
+    own = {}
+    for name, argument in (sinks or {}).items():
+        kind = ambient.KINDS[name]
+        sink = kind.current()
+        if not sink.enabled or getattr(sink, "_pid", None) != os.getpid():
+            # No sink here (a spawned worker) or one inherited across a
+            # fork, whose memory never reaches the parent: collect into
+            # a fresh sink and ship it home through the outcome.
+            own[name] = kind.install(kind.fresh(argument))
 
     telemetry = Telemetry()
     try:
@@ -341,9 +292,9 @@ def execute_job(
             if value is not None
         }
         started = time.perf_counter()
-        with recorder.span("job", cat="engine", job_id=spec.job_id,
-                           kind=spec.kind, **span_attrs), \
-                profiler.capture():
+        with obs.current().span("job", cat="engine", job_id=spec.job_id,
+                                kind=spec.kind, **span_attrs), \
+                perf_profiler.current().capture():
             if spec.kind == "artifacts":
                 runner.artifacts(spec.params["workload"])
                 value = None
@@ -380,19 +331,14 @@ def execute_job(
         if store is not None and store.quarantined > quarantined_before:
             counters["quarantined"] = store.quarantined - quarantined_before
     finally:
-        if own_recorder is not None:
-            obs.install(obs.NULL)
-        if own_collector is not None:
-            diagnose.install(diagnose.NULL)
-        if own_profiler is not None:
-            perf_profiler.install(perf_profiler.NULL)
+        for name in own:
+            ambient.KINDS[name].install(ambient.KINDS[name].null)
     return JobOutcome(
         job_id=spec.job_id, value=value, records=telemetry.records,
         counters=counters,
-        obs_records=own_recorder.records if own_recorder else [],
-        obs_metrics=own_recorder.metrics.to_dict() if own_recorder else {},
-        attribution=own_collector.to_dict() if own_collector else {},
-        profile=dict(own_profiler.stacks) if own_profiler else {},
+        sidecars={
+            name: ambient.KINDS[name].ship(sink) for name, sink in own.items()
+        },
     )
 
 

@@ -34,9 +34,8 @@ import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 
-from repro import diagnose, obs
+from repro import ambient, obs
 from repro.engine.jobs import JobOutcome, JobSpec, execute_job
-from repro.perf import profiler as perf_profiler
 from repro.engine.store import ArtifactStore
 from repro.engine.telemetry import Telemetry
 
@@ -234,20 +233,15 @@ def _consume(
         telemetry.extend(outcome.records)
         for name, count in outcome.counters.items():
             telemetry.bump(name, count)
-    recorder = obs.current()
-    if recorder.enabled and (outcome.obs_records or outcome.obs_metrics):
-        # Worker-side spans/events/metrics fold into the run-level record.
-        recorder.absorb(outcome.obs_records, outcome.obs_metrics)
-    collector = diagnose.current()
-    if collector.enabled and outcome.attribution:
-        # Worker-side miss attributions fold into the run collector.
-        # Entry replacement (not summation) keeps --jobs N identical to
-        # --jobs 1 even when two tables replay the same configuration.
-        collector.merge_dict(outcome.attribution)
-    profiler = perf_profiler.current()
-    if profiler.enabled and outcome.profile:
-        # Worker-side collapsed stacks fold into the run profile.
-        profiler.record(outcome.profile)
+    for name, payload in outcome.sidecars.items():
+        # Worker-side spans, attributions and stacks fold into the run's
+        # sinks.  Attribution entries replace (never sum), which keeps
+        # --jobs N identical to --jobs 1 even when two tables replay
+        # the same configuration.
+        kind = ambient.KINDS[name]
+        sink = kind.current()
+        if sink.enabled:
+            kind.absorb(sink, payload)
 
 
 def _blocked_by(
@@ -295,10 +289,7 @@ def _run_sequential(
         attempt = 0
         while True:
             try:
-                outcome = execute_job(
-                    spec, runner=runner, attempt=attempt,
-                    profile=perf_profiler.current().enabled,
-                )
+                outcome = execute_job(spec, runner=runner, attempt=attempt)
             except Exception as exc:
                 attempt += 1
                 if attempt > retries:
@@ -385,12 +376,7 @@ def _run_parallel(
             ):
                 future = pool.submit(
                     execute_job, spec, cache_dir, True, None,
-                    attempts.get(spec.job_id, 0), obs.current().enabled,
-                    diagnose.current().enabled,
-                    # The request's trace id travels across the fork so
-                    # the child's shipped spans join this trace.
-                    getattr(obs.current(), "trace_id", None),
-                    perf_profiler.current().enabled,
+                    attempts.get(spec.job_id, 0), ambient.active(),
                 )
                 in_flight[spec.job_id] = future
                 if job_timeout is not None:

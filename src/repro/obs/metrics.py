@@ -157,16 +157,9 @@ class Histogram:
     def merge_summary(self, summary: dict) -> None:
         """Fold another histogram's snapshot into this one.
 
-        Exact moments (count/sum/min/max) merge exactly.  A bucketed
-        snapshot (this format) merges its buckets exactly too — the
-        merged histogram is indistinguishable from single-process
-        observation.  A *legacy* snapshot (the pre-bucket reservoir
-        format: percentile markers, no ``buckets``) stays mergeable:
-        its count is apportioned deterministically across its p50/p90/
-        p99 markers (50/40/10) so old run files and old worker
-        snapshots keep folding in with exact counts and approximate
-        shape — exactly as good as the reservoir merge they were
-        written under.
+        Exact moments (count/sum/min/max) merge exactly, and so do the
+        buckets — the merged histogram is indistinguishable from
+        single-process observation.
         """
         count = int(summary.get("count") or 0)
         if count == 0:
@@ -181,37 +174,10 @@ class Histogram:
                     self, bound,
                     float(value) if own is None else better(own, float(value)),
                 )
-        buckets = summary.get("buckets")
-        if buckets is not None:
-            for key, n in buckets.items():
-                index = int(key)
-                self.buckets[index] = self.buckets.get(index, 0) + int(n)
-            self.zeros += int(summary.get("zeros") or 0)
-            return
-        # Legacy snapshot: spread the count over its percentile markers.
-        shares = [count * 5 // 10, count * 4 // 10]
-        shares.append(count - sum(shares))
-        placed = 0
-        for n, marker in zip(shares, ("p50", "p90", "p99")):
-            value = summary.get(marker)
-            if n <= 0 or value is None:
-                continue
-            self._add_weight(float(value), n)
-            placed += n
-        if placed < count:
-            # Markers missing (or partially): park the rest at the mean.
-            fallback = summary.get("mean")
-            if fallback is None:
-                fallback = float(summary.get("sum") or 0.0) / count
-            self._add_weight(float(fallback), count - placed)
-
-    def _add_weight(self, value: float, n: int) -> None:
-        """Register ``n`` synthetic observations without touching moments."""
-        if value > 0.0:
-            index = self.bucket_index(value)
-            self.buckets[index] = self.buckets.get(index, 0) + n
-        else:
-            self.zeros += n
+        for key, n in (summary.get("buckets") or {}).items():
+            index = int(key)
+            self.buckets[index] = self.buckets.get(index, 0) + int(n)
+        self.zeros += int(summary.get("zeros") or 0)
 
 
 class MetricsRegistry:
@@ -261,7 +227,7 @@ class MetricsRegistry:
         """Fold another registry's :meth:`to_dict` snapshot into this one.
 
         Counters add, gauges last-write-win, histograms merge their
-        buckets exactly (legacy reservoir snapshots approximately).
+        buckets exactly.
         This is how worker-process metrics are folded into the
         run-level registry and how the daemon's registry aggregates
         across worker threads and restarts.

@@ -9,10 +9,13 @@ Instrumentation throughout the codebase does::
         rec.event("cache_sim", miss_ratio=..., top_sets=...)
 
 With no recorder installed, :func:`current` returns :data:`NULL`, whose
-``span`` hands back one shared no-op context manager and whose other
-methods are empty — an unobserved run allocates nothing and records
-nothing.  Hot paths additionally guard any *computation* of event fields
-behind ``rec.enabled``.
+``span`` hands back the shared no-op context manager of
+:mod:`repro.ambient` and whose other methods are empty — an unobserved
+run allocates nothing and records nothing.  Hot paths additionally
+guard any *computation* of event fields behind ``rec.enabled``.
+:func:`current`, :func:`install` and :func:`use` are the ``obs`` kind's
+ambient accessors; a pool worker ships its recorder's records and
+metric snapshot home in the job outcome.
 
 A real :class:`Recorder` accumulates spans and point events as plain
 dicts (so cross-process shipping is trivial) plus a
@@ -25,10 +28,9 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 import time
-from contextlib import contextmanager
 
+from repro import ambient
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer, _json_default, write_chrome_trace
 
@@ -42,28 +44,13 @@ __all__ = [
 ]
 
 
-class _NullSpan:
-    """A reusable no-op context manager."""
-
-    __slots__ = ()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        return False
-
-
-_NULL_SPAN = _NullSpan()
-
-
 class NullRecorder:
     """Absorbs every observation without doing anything."""
 
     enabled = False
 
     def span(self, name, cat="phase", **attrs):
-        return _NULL_SPAN
+        return ambient.NULL_CONTEXT
 
     def event(self, name, **fields):
         pass
@@ -185,44 +172,18 @@ class Recorder:
 #: The zero-overhead default recorder.
 NULL = NullRecorder()
 
-_CURRENT: Recorder | NullRecorder = NULL
-_TLS = threading.local()
-
-
-def current() -> Recorder | NullRecorder:
-    """The recorder instrumentation should write to (never ``None``).
-
-    A thread's :func:`use` override wins over the process-wide
-    :func:`install` default, so concurrent service worker threads each
-    record into their own recorder.
-    """
-    override = getattr(_TLS, "current", None)
-    return override if override is not None else _CURRENT
-
-
-def install(recorder: Recorder | NullRecorder) -> Recorder | NullRecorder:
-    """Make ``recorder`` the process-wide current recorder.
-
-    Also clears this thread's :func:`use` override: a forked pool
-    worker inherits the parent's override, and its explicit install
-    must supersede that dead-end recorder.
-    """
-    global _CURRENT
-    _CURRENT = recorder
-    _TLS.current = None
-    return recorder
-
-
-@contextmanager
-def use(recorder: Recorder | NullRecorder):
-    """Make ``recorder`` current for this thread, restoring on exit.
-
-    Thread-local (unlike :func:`install`): concurrent requests in one
-    daemon must not interleave each other's spans.
-    """
-    previous = getattr(_TLS, "current", None)
-    _TLS.current = recorder
-    try:
-        yield recorder
-    finally:
-        _TLS.current = previous
+_KIND = ambient.Kind(
+    "obs", NULL,
+    fresh=lambda trace: Recorder(trace=trace),
+    ship=lambda recorder: {
+        "records": recorder.records, "metrics": recorder.metrics.to_dict(),
+    },
+    absorb=lambda recorder, payload: recorder.absorb(
+        payload["records"], payload["metrics"],
+    ),
+    # The trace id crosses the fork so a worker's spans join the request.
+    describe=lambda recorder: recorder.trace_id,
+)
+current = _KIND.current
+install = _KIND.install
+use = _KIND.use

@@ -192,15 +192,9 @@ class RunReport:
             self.meta.get("attribution", {}).items()
         ):
             parts = flat_key.split("|")
-            if len(parts) == 5:
-                workload, layout, organization, cache_bytes, block_bytes = parts
-            elif len(parts) == 4:
-                # Runs recorded before the organization field joined the
-                # key — render them rather than crash on the unpack.
-                workload, layout, cache_bytes, block_bytes = parts
-                organization = "?"
-            else:
+            if len(parts) != 5:
                 continue        # unrecognizable key; skip, don't crash
+            workload, layout, organization, cache_bytes, block_bytes = parts
             try:
                 cache_int, block_int = int(cache_bytes), int(block_bytes)
             except ValueError:

@@ -14,12 +14,14 @@ On-disk layout (one JSONL file)::
      "metrics": {"observability.tables.service.wall_s": 1.74, ...},
      "meta": {...}, "checksum": "<sha256[:16]>"}
 
-``checksum`` covers the canonical JSON of every other field — the
-``repro-journal-v1`` discipline.  Appends are flushed and ``fsync``'d
-before returning; a torn tail (the recording process died mid-write) is
-detected by parse/checksum failure on read, skipped, and counted, never
-trusted.  Mid-file corruption is handled the same way: the good records
-around it still load.
+Records use the checksummed JSON-lines format of :mod:`repro.durable`,
+shared with the service journal.  Appends are flushed and ``fsync``'d
+before returning and always start on a fresh line; a torn tail (the
+recording process died mid-write) is detected by parse/checksum failure
+on read, skipped, and counted, never trusted.  Mid-file corruption is
+handled the same way: the good records around it still load.  An
+append takes its ``seq`` from the newest intact record near the end of
+the file, so its cost does not grow with the ledger.
 
 :func:`harvest_metrics` flattens every ``BENCH_*.json`` under a
 directory into dotted numeric keys (``search.trial_wall_s_mean``,
@@ -29,10 +31,11 @@ the whole bench surface of a commit.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import time
+
+from repro import durable
 
 __all__ = [
     "LEDGER_FORMAT",
@@ -46,19 +49,13 @@ __all__ = [
 #: Format tag carried by every record; unknown formats are corrupt.
 LEDGER_FORMAT = "repro-perf-v1"
 
-_CHECKSUM_BYTES = 16
-
 
 class LedgerError(RuntimeError):
     """A ledger that cannot be opened, written, or parsed at all."""
 
 
-def _record_checksum(record: dict) -> str:
-    payload = json.dumps(
-        {k: v for k, v in record.items() if k != "checksum"},
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()[:_CHECKSUM_BYTES]
+def _is_ledger_record(record: dict) -> bool:
+    return record.get("format") == LEDGER_FORMAT
 
 
 class LedgerView:
@@ -122,71 +119,36 @@ class PerfLedger:
             "metrics": clean,
             "meta": dict(meta or {}),
         }
-        record["checksum"] = _record_checksum(record)
+        line = durable.seal(record)
         parent = os.path.dirname(os.path.abspath(self.path))
         os.makedirs(parent, exist_ok=True)
         try:
-            with open(self.path, "a") as handle:
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
+            with durable.open_append(self.path) as handle:
+                durable.append(handle, line)
         except OSError as exc:  # pragma: no cover - disk-level failure
             raise LedgerError(f"ledger append failed: {exc}") from exc
         return record
 
     def _next_seq(self) -> int:
-        view = self.read()
-        if not view.records:
-            return 1
-        return max(r.get("seq", 0) for r in view.records) + 1
+        try:
+            last = durable.last_record(self.path, _is_ledger_record)
+        except OSError as exc:
+            raise LedgerError(f"ledger unreadable: {exc}") from exc
+        if last is not None:
+            return last.get("seq", 0) + 1
+        # No intact record near the end: scan the whole file.
+        records = self.read().records
+        return max((r.get("seq", 0) for r in records), default=0) + 1
 
     # -- reading -----------------------------------------------------------
 
     def read(self) -> LedgerView:
         """Every intact record, oldest first; corrupt lines counted."""
-        records: list[dict] = []
-        corrupt = 0
-        if not os.path.exists(self.path):
-            return LedgerView(records, corrupt)
         try:
-            with open(self.path) as handle:
-                lines = handle.readlines()
+            scan = durable.read(self.path, _is_ledger_record)
         except OSError as exc:
             raise LedgerError(f"ledger unreadable: {exc}") from exc
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                corrupt += 1
-                continue
-            if (
-                not isinstance(record, dict)
-                or record.get("format") != LEDGER_FORMAT
-                or record.get("checksum") != _record_checksum(record)
-            ):
-                corrupt += 1
-                continue
-            records.append(record)
-        return LedgerView(records, corrupt)
-
-    def rewrite(self, records: list[dict]) -> None:
-        """Replace the ledger wholesale (staged tmp → fsync → rename).
-
-        The one legitimate rewrite is compaction/repair: records keep
-        their original payloads and get fresh checksums.
-        """
-        stage = f"{self.path}.tmp-{os.getpid()}"
-        with open(stage, "w") as handle:
-            for record in records:
-                body = {k: v for k, v in record.items() if k != "checksum"}
-                body["checksum"] = _record_checksum(body)
-                handle.write(json.dumps(body, sort_keys=True) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(stage, self.path)
+        return LedgerView(scan.records, scan.corrupt)
 
 
 # -- harvesting ------------------------------------------------------------

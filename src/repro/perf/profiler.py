@@ -1,9 +1,9 @@
 """Ambient hot-path profiling with a zero-overhead null default.
 
-The contract is the same as :mod:`repro.obs` and :mod:`repro.diagnose`:
-:func:`current` returns :data:`NULL` unless a run opted in with
-``--profile-out``, and the null path allocates nothing — engine code
-does::
+This is the ``profile`` kind of :mod:`repro.ambient`, like
+:mod:`repro.obs` and :mod:`repro.diagnose`: :func:`current` returns
+:data:`NULL` unless a run opted in with ``--profile-out``, and the null
+path allocates nothing — engine code does::
 
     with perf_profiler.current().capture():
         value = run_the_job()
@@ -12,9 +12,9 @@ A real :class:`ProfileCollector` wraps the block in :mod:`cProfile`,
 collapses the stats into flamegraph-style semicolon stacks
 (``main;run;simulate 0.041``), and accumulates them.  Collapsed stacks
 are plain ``{str: float}`` dicts, so a forked pool worker ships its
-collector's state home through :class:`~repro.engine.jobs.JobOutcome`
-and the parent folds it in with :meth:`ProfileCollector.record` —
-exactly how obs records and diagnose attributions travel.
+collector's state home in :class:`~repro.engine.jobs.JobOutcome`'s
+sidecars and the parent folds it in with :meth:`ProfileCollector.record`
+— exactly how obs records and diagnose attributions travel.
 
 cProfile keeps caller→callee edges, not full stacks, so
 :func:`collapse_profile` reconstructs one representative stack per
@@ -29,8 +29,9 @@ from __future__ import annotations
 import cProfile
 import os
 import pstats
-import threading
 from contextlib import contextmanager
+
+from repro import ambient
 
 __all__ = [
     "NULL",
@@ -43,26 +44,13 @@ __all__ = [
 ]
 
 
-class _NullCapture:
-    __slots__ = ()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        return False
-
-
-_NULL_CAPTURE = _NullCapture()
-
-
 class NullProfileCollector:
     """Absorbs nothing, allocates nothing."""
 
     enabled = False
 
     def capture(self):
-        return _NULL_CAPTURE
+        return ambient.NULL_CONTEXT
 
     def record(self, stacks):
         pass
@@ -106,38 +94,15 @@ class ProfileCollector:
 #: The zero-overhead default collector.
 NULL = NullProfileCollector()
 
-_CURRENT: ProfileCollector | NullProfileCollector = NULL
-_TLS = threading.local()
-
-
-def current() -> ProfileCollector | NullProfileCollector:
-    """The collector engine code should capture into (never ``None``)."""
-    override = getattr(_TLS, "current", None)
-    return override if override is not None else _CURRENT
-
-
-def install(collector) -> ProfileCollector | NullProfileCollector:
-    """Make ``collector`` the process-wide current collector.
-
-    Clears this thread's :func:`use` override, mirroring
-    :func:`repro.obs.install` — a forked worker's explicit install must
-    supersede the inherited dead-end collector.
-    """
-    global _CURRENT
-    _CURRENT = collector
-    _TLS.current = None
-    return collector
-
-
-@contextmanager
-def use(collector):
-    """Make ``collector`` current for this thread, restoring on exit."""
-    previous = getattr(_TLS, "current", None)
-    _TLS.current = collector
-    try:
-        yield collector
-    finally:
-        _TLS.current = previous
+_KIND = ambient.Kind(
+    "profile", NULL,
+    fresh=lambda _: ProfileCollector(),
+    ship=lambda collector: dict(collector.stacks),
+    absorb=ProfileCollector.record,
+)
+current = _KIND.current
+install = _KIND.install
+use = _KIND.use
 
 
 # -- cProfile → collapsed stacks -------------------------------------------

@@ -11,17 +11,16 @@ re-executable, and the idempotent submission-key map survives so a
 client retrying a POST whose response was lost attaches to the ticket
 it already created.
 
-On-disk layout (``<root>/segment-NNNNNN.jsonl``): JSON-lines segments of
-checksummed records mirroring the ``repro-artifact-v2`` discipline::
+On-disk layout (``<root>/segment-NNNNNN.jsonl``): segments in the
+checksummed JSON-lines format of :mod:`repro.durable`::
 
     {"format": "repro-journal-v1", "seq": 17, "ts": ...,
      "event": "accept", "data": {...}, "checksum": "<sha256[:16]>"}
 
-where ``checksum`` covers the canonical JSON of every other field.
 Appends are flushed and ``fsync``'d before returning — a record the
-daemon acted on is a record a restart will see.  A torn tail (the crash
-landed mid-write) is detected by checksum/parse failure, truncated
-away, and counted; a corrupt record in the middle of a segment (torn
+daemon acted on is a record a restart will see.  A torn tail on the
+last segment (the crash landed mid-write) is detected by checksum/parse
+failure, truncated away, and counted; a corrupt record elsewhere (torn
 storage, injected via ``corrupt:journal-append``) is skipped and
 counted, never trusted.
 
@@ -39,11 +38,10 @@ with :class:`JournalLocked` instead of interleaving records.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import time
 
+from repro import durable
 from repro.engine import faults
 
 try:
@@ -70,8 +68,6 @@ EVENTS = ("accept", "coalesce", "start", "requeue", "finish", "snapshot")
 #: for a compact at the next quiet moment.
 DEFAULT_MAX_BYTES = 8 * 1024 * 1024
 
-_CHECKSUM_BYTES = 16
-
 
 class JournalError(RuntimeError):
     """A journal that cannot be opened or written."""
@@ -81,12 +77,12 @@ class JournalLocked(JournalError):
     """Another live daemon already owns this journal directory."""
 
 
-def _record_checksum(record: dict) -> str:
-    payload = json.dumps(
-        {k: v for k, v in record.items() if k != "checksum"},
-        sort_keys=True,
+def _is_journal_record(record: dict) -> bool:
+    return (
+        record.get("format") == JOURNAL_FORMAT
+        and record.get("event") in EVENTS
+        and isinstance(record.get("data"), dict)
     )
-    return hashlib.sha256(payload.encode()).hexdigest()[:_CHECKSUM_BYTES]
 
 
 def ticket_doc(ticket) -> dict:
@@ -237,18 +233,21 @@ class JobJournal:
 
     def close(self) -> None:
         """Release the segment handle and the ownership lock."""
-        if self._handle is not None:
-            try:
-                self._handle.close()
-            except OSError:
-                pass
-            self._handle = None
+        self._close_segment()
         if self._lock_handle is not None:
             try:
                 self._lock_handle.close()   # closing releases the flock
             except OSError:
                 pass
             self._lock_handle = None
+
+    def _close_segment(self) -> None:
+        if self._handle is not None:
+            try:
+                self._handle.close()
+            except OSError:
+                pass
+            self._handle = None
 
     # -- segments ----------------------------------------------------------
 
@@ -279,7 +278,7 @@ class JobJournal:
             names = self._segment_names()
             path = (os.path.join(self.root, names[-1]) if names
                     else self._next_segment_path())
-            self._handle = open(path, "a", encoding="utf-8")
+            self._handle = durable.open_append(path)
         return self._handle
 
     def size_bytes(self) -> int:
@@ -304,108 +303,77 @@ class JobJournal:
         """
         if event not in EVENTS:
             raise ValueError(f"unknown journal event {event!r}")
-        self._seq += 1
-        record = {
-            "format": JOURNAL_FORMAT,
-            "seq": self._seq,
-            "ts": time.time(),
-            "event": event,
-            "data": data,
-        }
-        record["checksum"] = _record_checksum(record)
-        line = json.dumps(record, sort_keys=True)
+        line = self._seal(event, data)
         if faults.fires("corrupt", "journal-append", event):
             # A torn record: half the line, no newline discipline broken
             # (replay must skip it by checksum, not crash).
             line = line[: max(4, len(line) // 2)]
         try:
-            handle = self._open_for_append()
-            handle.write(line + "\n")
-            t0 = time.perf_counter()
-            handle.flush()
-            if self.sync:
-                os.fsync(handle.fileno())
-            if self.registry is not None:
-                self.registry.histogram("service.journal_fsync_s").observe(
-                    time.perf_counter() - t0
-                )
+            fsync_s = durable.append(self._open_for_append(), line, self.sync)
         except OSError as exc:
             raise JournalError(f"journal append failed: {exc}") from exc
+        if self.registry is not None:
+            self.registry.histogram("service.journal_fsync_s").observe(fsync_s)
         # After the record is durable: the distinct chaos point from
         # ``accept`` (which fires before anything is written).
         faults.maybe_fail("journal-append", f"{event}:{data.get('id', '')}")
         return self._seq
+
+    def _seal(self, event: str, data: dict) -> str:
+        self._seq += 1
+        return durable.seal({
+            "format": JOURNAL_FORMAT,
+            "seq": self._seq,
+            "ts": time.time(),
+            "event": event,
+            "data": data,
+        })
 
     # -- reading -----------------------------------------------------------
 
     def replay(self, should_abort=None) -> JournalReplay:
         """Rebuild the ticket table from every segment on disk.
 
-        ``should_abort`` (a callable) is polled between records so a
-        SIGTERM during a long replay aborts promptly instead of
-        finishing the recovery nobody will serve.  A torn tail on the
-        final segment is truncated in place; corrupt records elsewhere
-        are skipped and counted.
+        ``should_abort`` (a callable) is polled before each segment is
+        read and between the records it holds, so a SIGTERM during a
+        long replay aborts promptly instead of finishing the recovery
+        nobody will serve; an aborted replay counts the records it
+        applied and the corrupt lines of every segment it read.  A torn
+        tail on the final segment is truncated in place; corrupt records
+        elsewhere are skipped and counted.
         """
         faults.maybe_fail("journal-replay", "replay")
         replay = JournalReplay()
         names = self._segment_names()
         replay.segments = len(names)
         for index, name in enumerate(names):
+            if should_abort is not None and should_abort():
+                return replay
             path = os.path.join(self.root, name)
-            last_segment = index == len(names) - 1
-            good_end = 0
-            bad_after_good = 0
             try:
-                with open(path, "rb") as handle:
-                    offset = 0
-                    for raw in handle:
-                        offset += len(raw)
-                        if should_abort is not None and should_abort():
-                            return replay
-                        record = self._parse_record(raw)
-                        if record is None:
-                            replay.corrupt += 1
-                            bad_after_good += 1
-                            continue
-                        replay.records += 1
-                        self._seq = max(self._seq, record.get("seq", 0))
-                        replay.apply(record)
-                        good_end = offset
-                        bad_after_good = 0
+                scan = durable.read(path, _is_journal_record)
             except OSError:
                 continue
-            if last_segment and bad_after_good:
+            replay.corrupt += scan.corrupt
+            for record in scan.records:
+                if should_abort is not None and should_abort():
+                    return replay
+                self._seq = max(self._seq, record.get("seq", 0))
+                replay.apply(record)
+                replay.records += 1
+            if index == len(names) - 1 and scan.tail_corrupt:
                 # The trailing bad records are a torn tail from the
                 # crash, not corruption to preserve: cut them so the
                 # next append starts at a clean line boundary.
                 try:
                     size = os.path.getsize(path)
                     with open(path, "rb+") as handle:
-                        handle.truncate(good_end)
-                    replay.truncated_bytes += size - good_end
-                    replay.corrupt -= bad_after_good
+                        handle.truncate(scan.good_end)
+                    replay.truncated_bytes += size - scan.good_end
+                    replay.corrupt -= scan.tail_corrupt
                 except OSError:
                     pass
         return replay
-
-    @staticmethod
-    def _parse_record(raw: bytes) -> dict | None:
-        try:
-            record = json.loads(raw)
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            return None
-        if not isinstance(record, dict):
-            return None
-        if record.get("format") != JOURNAL_FORMAT:
-            return None
-        if record.get("event") not in EVENTS:
-            return None
-        if not isinstance(record.get("data"), dict):
-            return None
-        if record.get("checksum") != _record_checksum(record):
-            return None
-        return record
 
     # -- compaction --------------------------------------------------------
 
@@ -419,36 +387,14 @@ class JobJournal:
         """
         bytes_before = self.size_bytes()
         old_names = self._segment_names()
-        if self._handle is not None:
-            try:
-                self._handle.close()
-            except OSError:
-                pass
-            self._handle = None
+        self._close_segment()
         path = self._next_segment_path()
-        stage = f"{path}.tmp-{os.getpid()}"
         try:
-            with open(stage, "w", encoding="utf-8") as handle:
-                for doc in ticket_docs:
-                    self._seq += 1
-                    record = {
-                        "format": JOURNAL_FORMAT,
-                        "seq": self._seq,
-                        "ts": time.time(),
-                        "event": "snapshot",
-                        "data": doc,
-                    }
-                    record["checksum"] = _record_checksum(record)
-                    handle.write(json.dumps(record, sort_keys=True) + "\n")
-                handle.flush()
-                if self.sync:
-                    os.fsync(handle.fileno())
-            os.replace(stage, path)
+            durable.rewrite(
+                path, [self._seal("snapshot", doc) for doc in ticket_docs],
+                self.sync,
+            )
         except OSError as exc:
-            try:
-                os.unlink(stage)
-            except OSError:
-                pass
             raise JournalError(f"journal compaction failed: {exc}") from exc
         removed = 0
         for name in old_names:

@@ -203,12 +203,12 @@ class TestEngineThreading:
             JobSpec(job_id="table:table6", kind="table",
                     params={"table": "table6", "scale": "small"}),
             cache_dir=str(tmp_path),
-            attribute=True,
+            sinks={"diagnose": None},
         )
-        assert outcome.attribution
-        key = next(iter(sorted(outcome.attribution)))
+        assert outcome.sidecars["diagnose"]
+        key = next(iter(sorted(outcome.sidecars["diagnose"])))
         assert key.count("|") == 4
-        payload = outcome.attribution[key]
+        payload = outcome.sidecars["diagnose"][key]
         assert payload["compulsory"] + payload["capacity"] \
             + payload["conflict"] == payload["misses"]
 
@@ -220,4 +220,4 @@ class TestEngineThreading:
                     params={"workload": "wc", "scale": "small"}),
             cache_dir=str(tmp_path),
         )
-        assert outcome.attribution == {}
+        assert outcome.sidecars == {}

@@ -166,22 +166,6 @@ class TestMetrics:
             assert ours[stat] == theirs[stat]
         assert ours["sum"] == pytest.approx(theirs["sum"])
 
-    def test_histogram_merge_accepts_legacy_snapshot(self):
-        # Pre-bucket snapshots (reservoir format: markers, no buckets)
-        # still merge with exact moments and approximate shape.
-        legacy = {
-            "count": 100, "sum": 5000.0, "min": 1.0, "max": 99.0,
-            "mean": 50.0, "p50": 50.0, "p90": 90.0, "p99": 99.0,
-        }
-        hist = Histogram("h")
-        hist.observe(10.0)
-        hist.merge_summary(legacy)
-        assert hist.count == 101
-        assert hist.total == pytest.approx(5010.0)
-        assert hist.min == 1.0 and hist.max == 99.0
-        assert sum(hist.buckets.values()) + hist.zeros == 101
-        assert hist.percentile(50) == pytest.approx(50.0, rel=0.1)
-
     def test_merge_snapshot(self):
         main, worker = MetricsRegistry(), MetricsRegistry()
         main.counter("sims").inc(2)
@@ -234,26 +218,6 @@ class TestMetrics:
         assert hist.zeros == 1 and not hist.buckets
         assert hist.percentile(50) == 0.0
         assert hist.summary()["p99"] == 0.0
-
-    def test_legacy_reservoir_merges_into_empty_bucketed(self):
-        # A worker running the pre-bucket code ships a reservoir-style
-        # snapshot (markers, no buckets); folding it into a virgin
-        # bucketed histogram must reconstruct moments exactly and
-        # shape approximately — not crash, not zero out.
-        legacy = {
-            "count": 40, "sum": 200.0, "min": 1.0, "max": 9.0,
-            "mean": 5.0, "p50": 5.0, "p90": 9.0, "p99": 9.0,
-        }
-        hist = Histogram("h")
-        assert hist.count == 0
-        hist.merge_summary(legacy)
-        assert hist.count == 40
-        assert hist.total == pytest.approx(200.0)
-        assert hist.min == 1.0 and hist.max == 9.0
-        assert sum(hist.buckets.values()) + hist.zeros == 40
-        assert hist.percentile(50) == pytest.approx(5.0, rel=0.2)
-        summary = hist.summary()
-        assert summary["p99"] <= 9.0
 
 
 class TestRecorderRoundTrip:
@@ -396,14 +360,13 @@ class TestRunReport:
                    "conflict": 5}
         report.meta["attribution"] = {
             "wc|optimized|direct|2048|64": payload,
-            "wc|optimized|2048|64": payload,     # pre-organization key
+            "wc|optimized|2048|64": payload,     # skipped, not fatal
             "unparseable": payload,              # skipped, not fatal
         }
         rows = report.attributions()
-        assert len(rows) == 2
+        assert len(rows) == 1
         keys = [key for key, _ in rows]
         assert ("wc", "optimized", "direct", 2048, 64) in keys
-        assert ("wc", "optimized", "?", 2048, 64) in keys
         assert "miss attribution" in report.render()
 
 
@@ -464,14 +427,14 @@ class TestInstrumentation:
             params={"workload": "wc", "scale": "small"},
         )
         outcome = execute_job(
-            spec, cache_dir=str(tmp_path / "cache"), observe=True
+            spec, cache_dir=str(tmp_path / "cache"), sinks={"obs": None}
         )
         assert obs.current() is obs.NULL   # recorder uninstalled after
         assert any(
             r.get("type") == "span" and r["name"] == "job"
-            for r in outcome.obs_records
+            for r in outcome.sidecars["obs"]["records"]
         )
-        assert outcome.obs_metrics["counters"]["interp_runs"] > 0
+        assert outcome.sidecars["obs"]["metrics"]["counters"]["interp_runs"] > 0
 
     def test_execute_job_unobserved_ships_nothing(self, tmp_path):
         from repro.engine.jobs import JobSpec, execute_job
@@ -481,8 +444,7 @@ class TestInstrumentation:
             params={"workload": "wc", "scale": "small"},
         )
         outcome = execute_job(spec, cache_dir=str(tmp_path / "cache"))
-        assert outcome.obs_records == []
-        assert outcome.obs_metrics == {}
+        assert outcome.sidecars == {}
 
 
 class TestEventLog:

@@ -62,6 +62,47 @@ class TestLedger:
         # The next append continues the sequence past the damage.
         assert ledger.append("xyz", "ci", {"a": 1.0})["seq"] == 4
 
+    def test_torn_tail_does_not_swallow_next_append(self, tmp_path):
+        ledger = PerfLedger(str(tmp_path / "led.jsonl"))
+        ledger.append("a", "ci", {"x": 1.0})
+        with open(ledger.path, "a") as handle:    # a crashed writer
+            handle.write('{"format": "repro-perf-v1", "seq": 2, "ts')
+        ledger.append("b", "ci", {"x": 2.0})
+        view = ledger.read()
+        assert [r["sha"] for r in view.records] == ["a", "b"]
+        assert [r["seq"] for r in view.records] == [1, 2]
+        assert view.corrupt == 1
+
+    def test_append_reads_only_the_tail(self, tmp_path, monkeypatch):
+        from repro import durable
+
+        ledger = PerfLedger(str(tmp_path / "led.jsonl"))
+        metrics = {f"m{n:03d}.wall_s": float(n) for n in range(200)}
+        for n in range(40):
+            ledger.append(f"sha{n}", "ci", metrics)
+
+        def full_scan(*args, **kwargs):
+            raise AssertionError("append scanned the whole ledger")
+
+        monkeypatch.setattr(durable, "read", full_scan)
+        assert ledger.append("next", "ci", metrics)["seq"] == 41
+        with open(ledger.path, "a") as handle:
+            handle.write('{"format": "repro-perf-v1", "seq": 42')
+        assert ledger.append("after-tear", "ci", metrics)["seq"] == 42
+
+    def test_append_scans_whole_file_when_tail_holds_no_record(
+            self, tmp_path, monkeypatch):
+        from repro import durable
+
+        ledger = PerfLedger(str(tmp_path / "led.jsonl"))
+        ledger.append("a", "ci", {"x": 1.0})
+        ledger.append("b", "ci", {"x": 2.0})
+        with open(ledger.path, "a") as handle:   # garbage past the window
+            handle.write("x" * 256 + "\n")
+        monkeypatch.setattr(durable, "TAIL_WINDOW", 64)
+        assert durable.last_record(ledger.path, lambda r: True) is None
+        assert ledger.append("c", "ci", {"x": 3.0})["seq"] == 3
+
     def test_bitrot_and_wrong_format_skipped(self, tmp_path):
         ledger = PerfLedger(str(tmp_path / "led.jsonl"))
         _seed(ledger, [1.0, 1.1])
@@ -86,16 +127,6 @@ class TestLedger:
         view = ledger.read()
         assert [v for _, v in view.history("table6.wall_s")] == [1.0, 2.0]
         assert view.metric_names() == ["service.hit_rate", "table6.wall_s"]
-
-    def test_rewrite_refreshes_checksums(self, tmp_path):
-        ledger = PerfLedger(str(tmp_path / "led.jsonl"))
-        _seed(ledger, [1.0, 2.0])
-        records = ledger.read().records
-        records[0]["label"] = "edited"
-        ledger.rewrite(records)
-        view = ledger.read()
-        assert view.corrupt == 0
-        assert view.records[0]["label"] == "edited"
 
     def test_harvest_flattens_bench_snapshots(self, tmp_path):
         (tmp_path / "BENCH_search.json").write_text(json.dumps({
@@ -216,11 +247,11 @@ class TestProfiler:
         )
         off = execute_job(spec, cache_dir=str(tmp_path / "c1"),
                           use_cache=False)
-        assert off.profile == {}
+        assert off.sidecars == {}
         on = execute_job(spec, cache_dir=str(tmp_path / "c2"),
-                         use_cache=False, profile=True)
+                         use_cache=False, sinks={"profile": None})
         assert on.records, "job ran no work"
-        assert on.profile, "profiled job shipped no stacks"
+        assert on.sidecars["profile"], "profiled job shipped no stacks"
         # The ambient collector is restored to NULL afterwards.
         assert profiler.current() is profiler.NULL
 

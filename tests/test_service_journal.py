@@ -7,11 +7,11 @@ import os
 
 import pytest
 
+from repro.durable import record_checksum
 from repro.service.journal import (
     JOURNAL_FORMAT,
     JobJournal,
     JournalLocked,
-    _record_checksum,
     ticket_doc,
 )
 from repro.service.queue import JobQueue, Ticket
@@ -75,7 +75,7 @@ class TestAppendReplay:
         with open(path) as handle:
             record = json.loads(handle.readline())
         assert record["format"] == JOURNAL_FORMAT
-        assert record["checksum"] == _record_checksum(record)
+        assert record["checksum"] == record_checksum(record)
         journal.close()
 
     def test_unknown_event_rejected(self, tmp_path):
@@ -95,6 +95,23 @@ class TestAppendReplay:
                                            "coalesced": 1})
         assert seq == 3
         reopened.close()
+
+    def test_aborted_replay_counts_what_it_applied(self, tmp_path):
+        journal = JobJournal(str(tmp_path / "j"))
+        for n in range(1, 4):
+            journal.append("accept", _accept(f"job-00000{n}", f"fp{n}"))
+        journal.close()
+        polls = []
+
+        def abort_on_third_poll():
+            polls.append(None)
+            return len(polls) > 2
+
+        replay = JobJournal(str(tmp_path / "j")).replay(abort_on_third_poll)
+        # One poll before the segment, one before each record: the
+        # third poll stops it after one record, which is counted.
+        assert replay.records == 1
+        assert [d["id"] for d in replay.ticket_states()] == ["job-000001"]
 
 
 class TestCorruption:
