@@ -13,7 +13,6 @@ from repro.cache.partial import simulate_partial
 from repro.cache.prefetch import PrefetchStats, simulate_prefetch
 from repro.cache.sectored import simulate_sectored
 from repro.cache.set_assoc import (
-    SetAssociativeCache,
     simulate_fully_associative,
     simulate_set_associative,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "PagingStats",
     "PrefetchStats",
     "WorkingSetStats",
-    "SetAssociativeCache",
     "TimingModel",
     "TimingResult",
     "direct_mapped_miss_mask",

@@ -19,6 +19,7 @@ from repro import diagnose, obs
 __all__ = [
     "CacheStats",
     "MissSampler",
+    "cache_sets",
     "emit_cache_sim",
     "new_probe",
     "require_power_of_two",
@@ -64,6 +65,27 @@ def require_power_of_two(value: int, name: str) -> int:
     if value <= 0 or value & (value - 1):
         raise ValueError(f"{name} must be a positive power of two, got {value}")
     return value
+
+
+def cache_sets(cache_bytes: int, block_bytes: int, assoc: int) -> int:
+    """Validate an LRU cache geometry and return its number of sets.
+
+    Sizes must be powers of two, a block must fit in the cache, and
+    ``assoc`` must divide the block count (1 is direct-mapped, the
+    block count fully associative).
+    """
+    require_power_of_two(cache_bytes, "cache_bytes")
+    require_power_of_two(block_bytes, "block_bytes")
+    if block_bytes > cache_bytes:
+        raise ValueError(
+            f"block_bytes {block_bytes} exceeds cache_bytes {cache_bytes}"
+        )
+    num_blocks = cache_bytes // block_bytes
+    if assoc < 1 or num_blocks % assoc:
+        raise ValueError(
+            f"assoc must divide the block count {num_blocks}, got {assoc}"
+        )
+    return num_blocks // assoc
 
 
 class MissSampler:

@@ -18,11 +18,13 @@ The IMPACT-I region split (effective code packed together, never-executed
 code moved away) is precisely a paging optimisation — "when a page is
 transferred from the secondary memory to the main memory, all the bytes
 of that page are likely to be used" — and these simulators are what make
-that claim measurable.
+that claim measurable.  Page residency in both paging simulators is the
+one LRU model of :mod:`repro.cache.lru`.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +37,7 @@ from repro.cache.base import (
     new_probe,
     require_power_of_two,
 )
+from repro.cache.lru import lru_misses, transitions
 
 __all__ = [
     "PagingStats",
@@ -69,28 +72,19 @@ class WorkingSetStats:
     peak_pages: int
 
 
-def _page_transitions(
-    addresses: np.ndarray, page_bytes: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Compress the trace to the subsequence where the page changes.
-
-    Instruction fetches are overwhelmingly same-page sequential, so
-    page-level simulation over the compressed sequence is exact for LRU
-    (repeats never change LRU state beyond refreshing recency, which the
-    transition itself already does) and orders of magnitude faster.
-    Returns ``(pages, positions)`` — the transition pages and their
-    indices in the original trace (faults only happen at transitions,
-    which is what lets the miss probe point back into the full trace).
-    """
-    pages = np.asarray(addresses, dtype=np.int64) >> (
-        page_bytes.bit_length() - 1
+def _emit_paging(stats: PagingStats, addresses, page_bytes: int,
+                 resident_pages: int, organization: str, page_faults,
+                 probe) -> None:
+    emit_cache_sim(
+        CacheStats(
+            accesses=stats.accesses,
+            misses=stats.faults,
+            words_transferred=stats.bytes_transferred // BUS_WORD_BYTES,
+            extras={"distinct_pages": float(stats.distinct_pages)},
+        ),
+        page_bytes * resident_pages, page_bytes, organization,
+        set_misses=page_faults, addresses=addresses, probe=probe,
     )
-    if len(pages) == 0:
-        return pages, np.empty(0, dtype=np.int64)
-    keep = np.empty(len(pages), dtype=bool)
-    keep[0] = True
-    keep[1:] = pages[1:] != pages[:-1]
-    return pages[keep], np.nonzero(keep)[0]
 
 
 def simulate_paging(
@@ -100,50 +94,29 @@ def simulate_paging(
     require_power_of_two(page_bytes, "page_bytes")
     if resident_pages < 1:
         raise ValueError("need at least one resident page")
-    transitions, positions = _page_transitions(addresses, page_bytes)
-
-    recorder = obs.current()
+    pages = np.asarray(addresses, dtype=np.int64) >> (
+        page_bytes.bit_length() - 1
+    )
+    positions, evicted = lru_misses(pages, resident_pages)
+    stats = PagingStats(
+        accesses=len(addresses),
+        faults=len(positions),
+        bytes_transferred=len(positions) * page_bytes,
+        distinct_pages=len(np.unique(pages)),
+    )
     # The fill unit is a page and the real cache *is* fully-associative
     # LRU, so classification degenerates to compulsory + capacity — a
     # useful degenerate case the 3C tests pin (conflict == 0).
     probe = new_probe(page_bytes, page_bytes * resident_pages)
-    #: Per-page fault counts (sparse: page number -> faults).
-    page_faults: dict[int, int] = {}
-
-    lru: list[int] = []   # most-recent first
-    faults = 0
-    distinct: set[int] = set()
-    for where, page in enumerate(map(int, transitions)):
-        distinct.add(page)
-        try:
-            lru.remove(page)
-        except ValueError:
-            faults += 1
-            evicted = -1
-            if len(lru) >= resident_pages:
-                evicted = lru.pop()
-            page_faults[page] = page_faults.get(page, 0) + 1
-            if probe is not None:
-                probe.miss(int(positions[where]), evicted)
-        lru.insert(0, page)
-
-    stats = PagingStats(
-        accesses=len(addresses),
-        faults=faults,
-        bytes_transferred=faults * page_bytes,
-        distinct_pages=len(distinct),
-    )
-    if recorder.enabled or probe is not None:
-        emit_cache_sim(
-            CacheStats(
-                accesses=stats.accesses,
-                misses=stats.faults,
-                words_transferred=stats.bytes_transferred // BUS_WORD_BYTES,
-                extras={"distinct_pages": float(stats.distinct_pages)},
-            ),
-            page_bytes * resident_pages, page_bytes, "paging",
-            set_misses=page_faults, addresses=addresses, probe=probe,
-        )
+    if obs.current().enabled or probe is not None:
+        if probe is not None:
+            probe.positions = positions.tolist()
+            probe.evictors = evicted.tolist()
+        # Per-page fault counts (sparse: page number -> faults), in
+        # first-fault order.
+        page_faults = dict(Counter(pages[positions].tolist()))
+        _emit_paging(stats, addresses, page_bytes, resident_pages,
+                     "paging", page_faults, probe)
     return stats
 
 
@@ -157,7 +130,8 @@ def simulate_sectored_paging(
 
     A page is resident or not as a whole (it occupies a frame), but its
     sectors become valid lazily; touching an invalid sector of a resident
-    page is a (cheap) sector fault.
+    page is a (cheap) sector fault.  Page residency is the LRU model's;
+    this function adds only the per-page sector-valid bitmap.
     """
     require_power_of_two(page_bytes, "page_bytes")
     require_power_of_two(sector_bytes, "sector_bytes")
@@ -166,76 +140,53 @@ def simulate_sectored_paging(
     if resident_pages < 1:
         raise ValueError("need at least one resident page")
 
-    page_shift = page_bytes.bit_length() - 1
-    sector_shift = sector_bytes.bit_length() - 1
-    sectors_per_page = page_bytes // sector_bytes
+    pages_shift = (page_bytes // sector_bytes).bit_length() - 1
+    sectors = np.asarray(addresses, dtype=np.int64) >> (
+        sector_bytes.bit_length() - 1
+    )
+    pages = sectors >> pages_shift
+    # Page loads happen at page transitions, which are sector transitions
+    # too, so the sector walk below meets every one of them.
+    loads, evicted = lru_misses(pages, resident_pages)
+    load_evicts = dict(zip(loads.tolist(), evicted.tolist()))
 
-    # Compress to sector transitions (same argument as for pages).
-    sectors = np.asarray(addresses, dtype=np.int64) >> sector_shift
-    positions = np.empty(0, dtype=np.int64)
-    if len(sectors):
-        keep = np.empty(len(sectors), dtype=bool)
-        keep[0] = True
-        keep[1:] = sectors[1:] != sectors[:-1]
-        positions = np.nonzero(keep)[0]
-        sectors = sectors[keep]
-
-    recorder = obs.current()
     # The fill unit is a sector, so the 3C shadow is a fully-associative
     # sector cache of the same byte capacity; the eviction of a whole
     # page charges the displaced page's first sector as the evictor.
     probe = new_probe(sector_bytes, page_bytes * resident_pages)
-    pages_shift = page_shift - sector_shift
     #: Per-page sector-fault counts (sparse: page number -> faults).
     page_faults: dict[int, int] = {}
-
-    lru: list[int] = []
-    valid: dict[int, int] = {}      # page -> sector bitmap
+    valid: dict[int, int] = {}      # resident page -> sector bitmap
+    sector_mask = (1 << pages_shift) - 1
     faults = 0
-    transferred = 0
-    distinct: set[int] = set()
-    for where, sector in enumerate(map(int, sectors)):
+    steps = transitions(sectors)
+    for position, sector in zip(steps.tolist(), sectors[steps].tolist()):
         page = sector >> pages_shift
-        bit = 1 << (sector & (sectors_per_page - 1))
-        distinct.add(page)
-        evicted = -1
-        try:
-            lru.remove(page)
-        except ValueError:
-            if len(lru) >= resident_pages:
-                evicted = lru.pop()
-                valid.pop(evicted, None)
+        victim = load_evicts.get(position)
+        if victim is not None:
+            valid.pop(victim, None)
             valid[page] = 0
-        lru.insert(0, page)
+        bit = 1 << (sector & sector_mask)
         if not valid[page] & bit:
             valid[page] |= bit
             faults += 1
-            transferred += sector_bytes
             page_faults[page] = page_faults.get(page, 0) + 1
             if probe is not None:
                 probe.miss(
-                    int(positions[where]),
-                    -1 if evicted < 0 else evicted << pages_shift,
+                    position,
+                    -1 if victim is None or victim < 0
+                    else victim << pages_shift,
                 )
 
     stats = PagingStats(
         accesses=len(addresses),
         faults=faults,
-        bytes_transferred=transferred,
-        distinct_pages=len(distinct),
+        bytes_transferred=faults * sector_bytes,
+        distinct_pages=len(np.unique(pages)),
     )
-    if recorder.enabled or probe is not None:
-        emit_cache_sim(
-            CacheStats(
-                accesses=stats.accesses,
-                misses=stats.faults,
-                words_transferred=stats.bytes_transferred // BUS_WORD_BYTES,
-                extras={"distinct_pages": float(stats.distinct_pages)},
-            ),
-            page_bytes * resident_pages, page_bytes,
-            f"sectored-paging/{sector_bytes}B",
-            set_misses=page_faults, addresses=addresses, probe=probe,
-        )
+    if obs.current().enabled or probe is not None:
+        _emit_paging(stats, addresses, page_bytes, resident_pages,
+                     f"sectored-paging/{sector_bytes}B", page_faults, probe)
     return stats
 
 

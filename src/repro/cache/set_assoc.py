@@ -5,146 +5,73 @@ associative* design-target miss ratios; this module lets us simulate that
 organisation directly on our own traces, so the headline comparison
 ("an optimized direct-mapped cache beats an unoptimized fully associative
 one") can be reproduced end to end rather than only against constants.
+Both organisations run on the one LRU model, :mod:`repro.cache.lru`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+import numpy as np
 
 from repro import obs
 from repro.cache.base import (
     BUS_WORD_BYTES,
     CacheStats,
     MissSampler,
+    cache_sets,
     emit_cache_sim,
     new_probe,
-    require_power_of_two,
 )
+from repro.cache.lru import lru_misses
 
-__all__ = ["SetAssociativeCache", "simulate_set_associative", "simulate_fully_associative"]
+__all__ = ["simulate_set_associative", "simulate_fully_associative"]
 
 
-class SetAssociativeCache:
-    """An n-way set-associative cache with true LRU replacement.
+def simulate_set_associative(
+    addresses,
+    cache_bytes: int,
+    block_bytes: int,
+    associativity: int,
+) -> CacheStats:
+    """Run a full trace through an n-way LRU cache.
 
     ``associativity`` equal to the number of blocks makes it fully
     associative; 1 makes it direct-mapped (and agrees with
     :mod:`repro.cache.direct`, a property the tests check).
     """
-
-    def __init__(
-        self, cache_bytes: int, block_bytes: int, associativity: int
-    ) -> None:
-        require_power_of_two(cache_bytes, "cache_bytes")
-        require_power_of_two(block_bytes, "block_bytes")
-        if block_bytes > cache_bytes:
-            raise ValueError("block larger than cache")
-        num_blocks = cache_bytes // block_bytes
-        if associativity < 1 or associativity > num_blocks:
-            raise ValueError(
-                f"associativity must be in [1, {num_blocks}], "
-                f"got {associativity}"
-            )
-        if num_blocks % associativity:
-            raise ValueError("associativity must divide the block count")
-        self.cache_bytes = cache_bytes
-        self.block_bytes = block_bytes
-        self.associativity = associativity
-        self.num_sets = num_blocks // associativity
-        self._block_shift = block_bytes.bit_length() - 1
-        self._set_mask = self.num_sets - 1
-        # Each set is an MRU-first list of block numbers.
-        self._sets: list[list[int]] = [[] for _ in range(self.num_sets)]
-        self.accesses = 0
-        self.misses = 0
-        #: Per-set conflict-miss counts (index -> misses landing there).
-        self.set_misses = [0] * self.num_sets
-
-    def access(self, address: int) -> bool:
-        """Fetch one instruction; returns True on hit."""
-        self.accesses += 1
-        block = address >> self._block_shift
-        index = block & self._set_mask
-        lru = self._sets[index]
-        try:
-            lru.remove(block)
-        except ValueError:
-            self.misses += 1
-            self.set_misses[index] += 1
-            if len(lru) >= self.associativity:
-                lru.pop()
-            lru.insert(0, block)
-            return False
-        lru.insert(0, block)
-        return True
-
-    def stats(self) -> CacheStats:
-        """Snapshot of the metrics so far (whole-block fills)."""
-        return CacheStats(
-            accesses=self.accesses,
-            misses=self.misses,
-            words_transferred=self.misses * (
-                self.block_bytes // BUS_WORD_BYTES
-            ),
-        )
-
-
-def simulate_set_associative(
-    addresses: Iterable[int],
-    cache_bytes: int,
-    block_bytes: int,
-    associativity: int,
-) -> CacheStats:
-    """Run a full trace through an n-way LRU cache."""
-    cache = SetAssociativeCache(cache_bytes, block_bytes, associativity)
-    # Local rebinds for the hot loop.
-    shift = cache._block_shift
-    mask = cache._set_mask
-    sets = cache._sets
-    assoc = cache.associativity
-    set_misses = cache.set_misses
+    num_sets = cache_sets(cache_bytes, block_bytes, associativity)
+    addresses = np.asarray(addresses, dtype=np.int64)
+    blocks = addresses >> (block_bytes.bit_length() - 1)
+    positions, evicted = lru_misses(blocks, associativity, num_sets)
+    stats = CacheStats(
+        accesses=len(addresses),
+        misses=len(positions),
+        words_transferred=len(positions) * (block_bytes // BUS_WORD_BYTES),
+    )
     recorder = obs.current()
-    sampler = MissSampler() if recorder.enabled else None
     probe = new_probe(block_bytes, cache_bytes)
-    seen: list[int] | None = [] if probe is not None else None
-    accesses = 0
-    misses = 0
-    for address in addresses:
-        accesses += 1
-        if seen is not None:
-            seen.append(address)
-        block = address >> shift
-        index = block & mask
-        lru = sets[index]
-        if lru and lru[0] == block:     # fast path: repeated block
-            continue
-        try:
-            lru.remove(block)
-        except ValueError:
-            misses += 1
-            set_misses[index] += 1
-            if sampler is not None:
-                sampler.offer(address)
-            evicted = -1
-            if len(lru) >= assoc:
-                evicted = lru.pop()
-            if probe is not None:
-                probe.miss(accesses - 1, evicted)
-        lru.insert(0, block)
-    cache.accesses = accesses
-    cache.misses = misses
-    stats = cache.stats()
-    if recorder.enabled or probe is not None:
-        emit_cache_sim(
-            stats, cache_bytes, block_bytes, f"{assoc}-way",
-            set_misses=set_misses, sampler=sampler,
-            addresses=seen, probe=probe,
-        )
+    if not recorder.enabled and probe is None:
+        return stats
+    if probe is not None:
+        probe.positions = positions.tolist()
+        probe.evictors = evicted.tolist()
+    set_misses = np.bincount(
+        blocks[positions] & (num_sets - 1), minlength=num_sets
+    ).tolist()
+    sampler = None
+    if recorder.enabled:
+        sampler = MissSampler()
+        for address in addresses[positions].tolist():
+            sampler.offer(address)
+    emit_cache_sim(
+        stats, cache_bytes, block_bytes, f"{associativity}-way",
+        set_misses=set_misses, sampler=sampler,
+        addresses=addresses, probe=probe,
+    )
     return stats
 
 
 def simulate_fully_associative(
-    addresses: Iterable[int], cache_bytes: int, block_bytes: int
+    addresses, cache_bytes: int, block_bytes: int
 ) -> CacheStats:
     """Fully associative LRU: one set holding every block."""
     return simulate_set_associative(

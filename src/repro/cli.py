@@ -859,6 +859,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
+    from repro.cache.base import cache_sets
     from repro.diagnose.explain import explain
     from repro.workloads.registry import workload_names
 
@@ -870,6 +871,11 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         )
         return 2
     if not _check_opt(args.opt, "explain"):
+        return 2
+    try:
+        cache_sets(args.cache_bytes, args.block_bytes, args.assoc)
+    except ValueError as exc:
+        print(f"repro explain: {exc}", file=sys.stderr)
         return 2
     print(explain(
         args.workload,

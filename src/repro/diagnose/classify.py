@@ -32,15 +32,17 @@ Classification granularity follows each simulator's fill unit: whole
 blocks for direct/set-associative/prefetching caches, sectors for the
 sectored cache, 4-byte words for partial loading, pages for paging.  The
 shadow is a fully-associative LRU cache of the same byte capacity
-organised in those granules.
+organised in those granules, simulated by the one LRU model of
+:mod:`repro.cache.lru`.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from repro.cache.lru import lru_misses
 
 __all__ = [
     "Attribution",
@@ -198,35 +200,8 @@ class Attribution:
 def fully_associative_miss_positions(
     granules: np.ndarray, capacity_granules: int
 ) -> np.ndarray:
-    """Positions (trace order) missing in a fully-associative LRU cache.
-
-    Exact LRU over the *granule-transition* subsequence: an access to the
-    same granule as its predecessor always hits and only refreshes a
-    recency the transition already established, so skipping it changes
-    nothing — which turns an O(trace) Python loop into an O(transitions)
-    one (instruction fetch is overwhelmingly sequential-within-granule).
-    """
-    n = len(granules)
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    keep = np.empty(n, dtype=bool)
-    keep[0] = True
-    keep[1:] = granules[1:] != granules[:-1]
-    transition_positions = np.nonzero(keep)[0]
-
-    resident: OrderedDict[int, None] = OrderedDict()
-    miss_positions: list[int] = []
-    move_to_end = resident.move_to_end
-    for position in transition_positions:
-        granule = int(granules[position])
-        if granule in resident:
-            move_to_end(granule)
-        else:
-            miss_positions.append(int(position))
-            if len(resident) >= capacity_granules:
-                resident.popitem(last=False)
-            resident[granule] = None
-    return np.asarray(miss_positions, dtype=np.int64)
+    """Positions (trace order) missing in a fully-associative LRU cache."""
+    return lru_misses(granules, capacity_granules)[0]
 
 
 def _first_touch_positions(granules: np.ndarray) -> np.ndarray:

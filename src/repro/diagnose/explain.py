@@ -41,14 +41,10 @@ _HEAT_COLS = 64
 def _simulate(addresses, cache_bytes: int, block_bytes: int,
               assoc: int) -> None:
     """Run the geometry's simulator for its attribution side effect."""
-    if assoc <= 1:
+    if assoc == 1:
         from repro.cache.vectorized import simulate_direct_vectorized
 
         simulate_direct_vectorized(addresses, cache_bytes, block_bytes)
-    elif assoc >= cache_bytes // block_bytes:
-        from repro.cache.set_assoc import simulate_fully_associative
-
-        simulate_fully_associative(addresses, cache_bytes, block_bytes)
     else:
         from repro.cache.set_assoc import simulate_set_associative
 
@@ -125,7 +121,7 @@ def explain_with_runner(
     lines: list[str] = []
     header = (
         f"explain {workload} — {cache_bytes}B cache, {block_bytes}B blocks, "
-        f"{'direct-mapped' if assoc <= 1 else f'{assoc}-way'}, "
+        f"{'direct-mapped' if assoc == 1 else f'{assoc}-way'}, "
         f"scale={runner.scale}"
     )
     lines.append(header)

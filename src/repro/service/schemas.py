@@ -127,19 +127,27 @@ def _normalize_table(doc: dict) -> dict:
 
 
 def _normalize_explain(doc: dict) -> dict:
+    from repro.cache.base import cache_sets
     from repro.workloads.registry import workload_names
 
     workload = _require_choice(doc, "workload", workload_names(), None)
     scale = _require_choice(doc, "scale", _SCALES, "small")
     layout = _require_choice(doc, "layout", _EXPLAIN_LAYOUTS, "optimized")
     baseline = _require_choice(doc, "baseline", _EXPLAIN_LAYOUTS, "natural")
+    cache_bytes = _require_int(doc, "cache_bytes", 2048, 64, 1 << 24)
+    block_bytes = _require_int(doc, "block_bytes", 64, 4, 4096)
+    assoc = _require_int(doc, "assoc", 1, 1, 64)
+    try:
+        cache_sets(cache_bytes, block_bytes, assoc)
+    except ValueError as exc:
+        raise RequestError(str(exc)) from exc
     return {
         "kind": "explain",
         "workload": workload,
         "scale": scale,
-        "cache_bytes": _require_int(doc, "cache_bytes", 2048, 64, 1 << 24),
-        "block_bytes": _require_int(doc, "block_bytes", 64, 4, 4096),
-        "assoc": _require_int(doc, "assoc", 1, 1, 64),
+        "cache_bytes": cache_bytes,
+        "block_bytes": block_bytes,
+        "assoc": assoc,
         "layout": layout,
         "baseline": baseline,
         "top": _require_int(doc, "top", 10, 1, 100),

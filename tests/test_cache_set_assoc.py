@@ -2,30 +2,39 @@
 
 import pytest
 
+from repro.cache.base import cache_sets
 from repro.cache.direct import simulate_direct
 from repro.cache.set_assoc import (
-    SetAssociativeCache,
     simulate_fully_associative,
     simulate_set_associative,
 )
+from tests.test_cache_lru import observe
 
 
 class TestGeometry:
     def test_sets_from_associativity(self):
-        cache = SetAssociativeCache(2048, 64, associativity=4)
-        assert cache.num_sets == 8
+        assert cache_sets(2048, 64, 4) == 8
 
     def test_fully_associative_has_one_set(self):
-        cache = SetAssociativeCache(2048, 64, associativity=32)
-        assert cache.num_sets == 1
+        assert cache_sets(2048, 64, 32) == 1
 
     def test_excessive_associativity_rejected(self):
         with pytest.raises(ValueError):
-            SetAssociativeCache(2048, 64, associativity=64)
+            simulate_set_associative([0], 2048, 64, associativity=64)
 
     def test_non_dividing_associativity_rejected(self):
         with pytest.raises(ValueError):
-            SetAssociativeCache(2048, 64, associativity=3)
+            simulate_set_associative([0], 2048, 64, associativity=3)
+
+    @pytest.mark.parametrize("cache_bytes,block_bytes,assoc", [
+        (2048, 64, 0),
+        (3000, 64, 1),      # not a power of two
+        (2048, 48, 1),
+        (64, 4096, 1),      # block larger than the cache
+    ])
+    def test_bad_geometry_rejected(self, cache_bytes, block_bytes, assoc):
+        with pytest.raises(ValueError):
+            cache_sets(cache_bytes, block_bytes, assoc)
 
 
 class TestLru:
@@ -38,13 +47,13 @@ class TestLru:
         assert two_way.misses == 2
 
     def test_lru_evicts_least_recent(self):
-        cache = SetAssociativeCache(128, 64, associativity=2)  # 1 set
-        assert cache.access(0) is False      # A
-        assert cache.access(64) is False     # B
-        assert cache.access(0) is True       # A (B is now LRU)
-        assert cache.access(128) is False    # C evicts B
-        assert cache.access(0) is True
-        assert cache.access(64) is False     # B was evicted
+        # One 2-way set: A, B, A (B is now LRU), C evicts B, A hits,
+        # B misses again and evicts C.
+        trace = [0, 64, 0, 128, 0, 64]
+        stats, capture = observe(simulate_set_associative, trace, 128, 64, 2)
+        assert stats.misses == 4
+        assert capture.probe.positions == [0, 1, 3, 5]
+        assert capture.probe.evictors == [-1, -1, 1, 2]
 
     def test_one_way_matches_direct_mapped(self):
         trace = [(i * 100) % 8192 for i in range(2000)]
@@ -78,11 +87,3 @@ class TestLru:
     def test_traffic_counts_whole_blocks(self):
         stats = simulate_fully_associative([0, 64], 1024, 64)
         assert stats.words_transferred == 2 * 16
-
-    def test_incremental_api_matches_batch(self):
-        trace = [(i * 60) % 4096 for i in range(800)]
-        cache = SetAssociativeCache(512, 32, 4)
-        for address in trace:
-            cache.access(address)
-        batch = simulate_set_associative(trace, 512, 32, 4)
-        assert cache.stats().misses == batch.misses

@@ -43,6 +43,22 @@ class TestExplain:
         assert main(["explain", "nope"]) == 2
         assert "unknown workload" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [
+        ["--assoc", "3"],
+        ["--assoc", "64"],          # 2 KB / 64 B holds 32 blocks
+        ["--cache-bytes", "3000"],
+        ["--cache-bytes", "64", "--block-bytes", "4096"],
+    ], ids=["assoc-3", "assoc-64", "cache-3000", "block-over-cache"])
+    def test_bad_geometry_is_a_clean_exit(self, capsys, tmp_path, flags):
+        # Rejected before any artifact is built: the store stays empty.
+        store = tmp_path / "store"
+        assert main(["explain", "wc", "--scale", "small",
+                     "--cache-dir", str(store), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro explain: ")
+        assert len(err.strip().splitlines()) == 1
+        assert not store.exists()
+
     def test_top_bounds_the_rankings(self, capsys, tmp_path):
         assert main([
             "explain", "cccp", "--scale", "small",

@@ -78,6 +78,17 @@ class TestNormalizeRequest:
         with pytest.raises(RequestError):
             normalize_request(bad)
 
+    @pytest.mark.parametrize("geometry", [
+        {"assoc": 3},
+        {"cache_bytes": 3000},
+        {"block_bytes": 4096, "cache_bytes": 64},
+        {"assoc": 64},              # 2 KB / 64 B holds 32 blocks
+    ], ids=["assoc-3", "cache-3000", "block-over-cache", "assoc-64"])
+    def test_rejects_invalid_explain_geometry(self, geometry):
+        with pytest.raises(RequestError):
+            normalize_request({"kind": "explain", "workload": "wc",
+                               **geometry})
+
     def test_fingerprint_ignores_spelling(self):
         minimal = normalize_request({"kind": "table", "table": "table6"})
         spelled = normalize_request(
