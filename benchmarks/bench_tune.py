@@ -15,7 +15,7 @@ import os
 import tempfile
 import time
 
-from benchmarks.conftest import emit_bench
+from benchmarks.conftest import emit_bench, harvest_totals
 from repro.engine.telemetry import Telemetry
 from repro.experiments.report import render_table
 from repro.search import default_space, make_strategy, run_search
@@ -42,7 +42,7 @@ def _search(cache_dir: str):
         seed=SEED,
     )
     wall = time.perf_counter() - started
-    return wall, telemetry.totals(), result
+    return wall, harvest_totals(telemetry.totals()), result
 
 
 def test_tune_cold_warm(benchmark):

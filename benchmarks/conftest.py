@@ -90,6 +90,17 @@ def emit_bench(
         _write_snapshot(snapshot_name or name, snapshot)
 
 
+def harvest_totals(totals: dict) -> dict:
+    """Engine telemetry totals as a BENCH file records them.
+
+    ``wall_s_sum`` sums table jobs only; the tune search and the shared
+    runner run none, so it is structurally 0 for them.  Their wall time
+    is ``jobs_wall_s_sum``, the sum over every job.
+    """
+    return {name: value for name, value in totals.items()
+            if name != "wall_s_sum"}
+
+
 def _write_snapshot(stem: str, fields: dict) -> None:
     """Merge ``fields`` into ``BENCH_<stem>.json`` (staged tmp, fsync).
 
@@ -201,7 +212,7 @@ def pytest_sessionfinish(session, exitstatus):
         # numbers through record_runner already.
         record_runner(
             counters=dict(_SHARED_RUNNER.telemetry.counters),
-            totals=_SHARED_RUNNER.telemetry.totals(),
+            totals=harvest_totals(_SHARED_RUNNER.telemetry.totals()),
         )
     if _SHARED_RECORDER is not None:
         from repro import obs

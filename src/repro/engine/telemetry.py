@@ -38,6 +38,8 @@ class JobRecord:
 
     ``store`` is ``"hit"`` (rehydrated from the artifact store),
     ``"miss"`` (computed and persisted), or ``"off"`` (no store attached).
+    ``memo_hits`` is 1 on a hit whose hydration an earlier request in
+    this process already did (the runner's process-wide memo).
     ``wall_s`` of a table record includes its artifact rehydrations, so
     walls are reported per record rather than summed in totals.
     """
@@ -47,6 +49,7 @@ class JobRecord:
     wall_s: float
     interp_instructions: int = 0
     store: str = "off"
+    memo_hits: int = 0
     trace_blocks: int = 0
     detail: dict = field(default_factory=dict)
 
@@ -106,6 +109,7 @@ class Telemetry:
             "store_misses": sum(
                 1 for record in self.records if record.store == "miss"
             ),
+            "memo_hits": sum(record.memo_hits for record in self.records),
             "trace_blocks": sum(
                 record.trace_blocks for record in self.records
             ),

@@ -13,11 +13,20 @@ traces; later builds — in this process or any other — rehydrate them and
 re-run only the cheap deterministic placement stages, executing **zero**
 interpreter steps.  Attach a :class:`~repro.engine.telemetry.Telemetry`
 to observe exactly that.
+
+Hydrated artifacts are also kept in a bounded process-wide memo, so a
+long-lived process (``repro serve``, a benchmark loop) rebuilds and
+re-places each stored entry once, not once per request.  The memo is
+consulted only after the store has returned a verified entry, so store
+hit/miss accounting, quarantine and ``repro cache clear`` see every
+lookup exactly as without it.
 """
 
 from __future__ import annotations
 
+import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,10 +52,16 @@ from repro.placement.pipeline import (
 from repro.placement.scaling import scaled_sizes
 from repro.workloads.registry import Workload, get_workload, workload_names
 
-__all__ = ["WorkloadArtifacts", "ExperimentRunner", "default_runner"]
+__all__ = [
+    "WorkloadArtifacts", "ExperimentRunner", "clear_memo", "default_runner",
+]
 
 #: Safety net for runaway workloads during experiments.
 MAX_TRACE_INSTRUCTIONS = 200_000_000
+
+#: Hydrated artifacts the process-wide memo keeps (least recently used
+#: evicted first); room for every bundled workload at one configuration.
+MEMO_CAPACITY = 16
 
 
 @dataclass
@@ -68,6 +83,41 @@ class WorkloadArtifacts:
     def image(self) -> MemoryImage:
         """The optimized memory image."""
         return self.placement.image
+
+
+_MEMO: OrderedDict[tuple, WorkloadArtifacts] = OrderedDict()
+_MEMO_LOCK = threading.Lock()
+
+
+def clear_memo() -> None:
+    """Forget every memoized hydration (the next store hit hydrates)."""
+    with _MEMO_LOCK:
+        _MEMO.clear()
+
+
+def _memo_get(key: tuple) -> WorkloadArtifacts | None:
+    with _MEMO_LOCK:
+        art = _MEMO.get(key)
+        if art is not None:
+            _MEMO.move_to_end(key)
+        return art
+
+
+def _memo_admit(key: tuple, art: WorkloadArtifacts) -> WorkloadArtifacts:
+    """Share ``art`` process-wide; returns the entry the memo now holds.
+
+    Its trace arrays become read-only, so a consumer that writes into a
+    shared trace raises instead of corrupting every later request.
+    """
+    for trace in (art.trace, art.original_trace):
+        trace.block_ids.flags.writeable = False
+        trace.via.flags.writeable = False
+    with _MEMO_LOCK:
+        art = _MEMO.setdefault(key, art)
+        _MEMO.move_to_end(key)
+        while len(_MEMO) > MEMO_CAPACITY:
+            _MEMO.popitem(last=False)
+        return art
 
 
 class ExperimentRunner:
@@ -108,9 +158,14 @@ class ExperimentRunner:
             art = interp_steps = None
             outcome = "off"
             claimed = False
+            memo_hits = 0
             key = None
             if self.store is not None:
                 key = artifact_key(name, self.scale, self.options)
+                # The Workload object, not its name: a name re-registered
+                # with other inputs is another program.
+                memo_key = (workload, self.scale, self.options,
+                            self.store.root)
                 payload = self.store.get(key)
                 if payload is None:
                     # Cold entry: claim it, or — if a concurrent process
@@ -120,8 +175,15 @@ class ExperimentRunner:
                     if not claimed:
                         payload = self.store.wait_for(key)
                 if payload is not None:
-                    with recorder.span("hydrate", cat="pipeline"):
-                        art = self._hydrate(workload, payload)
+                    art = _memo_get(memo_key)
+                    if art is not None:
+                        memo_hits = 1
+                        recorder.count("artifacts_memo_hits", 1)
+                    else:
+                        with recorder.span("hydrate", cat="pipeline"):
+                            art = self._hydrate(workload, payload)
+                        if art is not None:
+                            art = _memo_admit(memo_key, art)
                     if art is not None:
                         interp_steps = 0
                         outcome = "hit"
@@ -146,6 +208,7 @@ class ExperimentRunner:
                 wall_s=time.perf_counter() - started,
                 interp_instructions=interp_steps,
                 store=outcome,
+                memo_hits=memo_hits,
                 trace_blocks=len(art.trace) + len(art.original_trace),
             )
         return art

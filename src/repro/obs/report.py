@@ -267,7 +267,8 @@ class RunReport:
                 rate = f"{100 * hits / looked:.0f}%" if looked else "n/a"
                 lines.append(
                     f"  store: {hits} hits / {misses} misses "
-                    f"(hit rate {rate})"
+                    f"(hit rate {rate}), memo hits "
+                    f"{totals.get('memo_hits', 0)}"
                 )
             robust = {
                 k: v for k, v in counters.items()

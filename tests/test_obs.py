@@ -258,7 +258,7 @@ class TestRunReport:
             "telemetry_totals": {
                 "jobs": 2, "interp_instructions": 100,
                 "store_hits": 1, "store_misses": 1, "wall_s_sum": 0.5,
-                "jobs_wall_s_sum": 1.75,
+                "jobs_wall_s_sum": 1.75, "memo_hits": 1,
             },
         })
         with rec.span("job", cat="engine", job_id="table:table6"):
@@ -305,6 +305,7 @@ class TestRunReport:
             "per-phase span timings", "per-workload miss ratios",
             "top conflict sets", "hottest traces",
             "effective-region sizes", "store: 1 hits / 1 misses",
+            "memo hits 1",
             "wall: table jobs 0.50s, all jobs 1.75s",
         ):
             assert needle in text

@@ -1,0 +1,251 @@
+"""The process-wide memo of store-hydrated workload artifacts.
+
+The memo sits behind a verified store read and replaces only the
+rebuild-and-replay of hydration, so explains stay byte-identical, store
+accounting is unchanged, and store-less runners never see it.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import sys
+import threading
+
+import pytest
+
+from repro import obs
+from repro.engine import scheduler
+from repro.engine.jobs import request_plan
+from repro.engine.store import ArtifactStore, artifact_key
+from repro.engine.telemetry import Telemetry
+from repro.experiments import runner as runner_module
+from repro.experiments.runner import ExperimentRunner, clear_memo
+from repro.experiments.table6 import CACHE_SIZES
+from repro.experiments.table7 import BLOCK_SIZES
+from repro.placement.pipeline import PlacementOptions
+from repro.workloads.registry import workload_names
+
+SCALE = "small"
+
+#: Table 6 sizes at 64 B, Table 7 block sizes at 2 KB, then 2-way, 4-way
+#: and fully associative at 2 KB / 64 B.
+GRID = (
+    [(size, 64, 1) for size in CACHE_SIZES]
+    + [(2048, block, 1) for block in BLOCK_SIZES if block != 64]
+    + [(2048, 64, ways) for ways in (2, 4, 2048 // 64)]
+)
+
+
+@pytest.fixture(autouse=True)
+def _fresh_memo():
+    clear_memo()
+    yield
+    clear_memo()
+
+
+def explain(workload: str, store_dir: str | None, geometry=(2048, 64, 1)):
+    """One explain request through the engine; (output, telemetry totals)."""
+    cache_bytes, block_bytes, assoc = geometry
+    request = {
+        "kind": "explain", "workload": workload, "scale": SCALE,
+        "cache_bytes": cache_bytes, "block_bytes": block_bytes,
+        "assoc": assoc,
+    }
+    telemetry = Telemetry()
+    values = scheduler.run_jobs(
+        request_plan(request), cache_dir=store_dir,
+        use_cache=store_dir is not None, telemetry=telemetry,
+    )
+    return values[f"explain:{workload}"], telemetry.totals()
+
+
+def entry_hits(store_dir: str, workload: str) -> int:
+    key = artifact_key(workload, SCALE, PlacementOptions())
+    path = os.path.join(store_dir, "objects", key, "meta.json")
+    with open(path) as handle:
+        return json.load(handle)["hits"]
+
+
+def test_grid_explains_identical_with_memo_and_without(tmp_path):
+    store_dir = str(tmp_path)
+    names = workload_names()
+    assert len(names) == 10 and len(GRID) == 11
+    for name in names:
+        explain(name, store_dir)
+    clear_memo()
+    memoized, memo_hits = {}, 0
+    for name in names:
+        for geometry in GRID:
+            output, totals = explain(name, store_dir, geometry)
+            memoized[name, geometry] = output
+            memo_hits += totals["memo_hits"]
+            assert totals["store_hits"] == 1
+            assert totals["interp_instructions"] == 0
+    assert memo_hits == len(names) * (len(GRID) - 1)
+    for name in names:
+        for geometry in GRID:
+            clear_memo()
+            output, totals = explain(name, store_dir, geometry)
+            assert totals["memo_hits"] == 0
+            assert output == memoized[name, geometry], (name, geometry)
+
+
+def test_store_accounting_unchanged_by_memo(tmp_path):
+    store_dir = str(tmp_path)
+    stream = ["wc", "cmp", "wc", "wc", "cmp", "tee", "wc", "tee"]
+    hits = misses = memo_hits = 0
+    for name in stream:
+        _output, totals = explain(name, store_dir)
+        hits += totals["store_hits"]
+        misses += totals["store_misses"]
+        memo_hits += totals["memo_hits"]
+    # Every request reads the store: the first of each program misses
+    # and every later one is a store hit, whether or not the memo then
+    # answers the hydration.  A computed entry is not memoized, so only
+    # the third and later requests for one program are memo hits.
+    assert (hits, misses) == (5, 3)
+    assert memo_hits == 2
+    for name in ("wc", "cmp", "tee"):
+        assert entry_hits(store_dir, name) == stream.count(name) - 1
+
+
+def test_cleared_store_misses_and_reinterprets(tmp_path):
+    store_dir = str(tmp_path)
+    for _ in range(3):
+        _output, totals = explain("wc", store_dir)
+    assert (totals["store_hits"], totals["memo_hits"]) == (1, 1)
+    ArtifactStore(store_dir).clear()
+    _output, totals = explain("wc", store_dir)
+    assert totals["store_misses"] == 1
+    assert totals["memo_hits"] == 0
+    assert totals["interp_instructions"] > 0
+
+
+def test_quarantined_entry_misses_and_reinterprets(tmp_path):
+    store_dir = str(tmp_path)
+    expected, _ = explain("cmp", store_dir)
+    explain("cmp", store_dir)
+    key = artifact_key("cmp", SCALE, PlacementOptions())
+    arrays = os.path.join(store_dir, "objects", key, "arrays.npz")
+    with open(arrays, "r+b") as handle:
+        handle.seek(40)
+        byte = handle.read(1)
+        handle.seek(40)
+        handle.write(bytes([byte[0] ^ 0xFF]))
+    store = ArtifactStore(store_dir)
+    runner = ExperimentRunner(scale=SCALE, store=store,
+                              telemetry=Telemetry())
+    runner.artifacts("cmp")
+    assert store.quarantined == 1
+    totals = runner.telemetry.totals()
+    assert totals["store_misses"] == 1
+    assert totals["memo_hits"] == 0
+    assert totals["interp_instructions"] > 0
+    output, totals = explain("cmp", store_dir)
+    assert output == expected
+    assert totals["store_hits"] == 1
+
+
+def test_storeless_runner_never_sees_the_memo(tmp_path):
+    store = ArtifactStore(str(tmp_path))
+    ExperimentRunner(scale=SCALE, store=store).artifacts("wc")
+    hydrated = ExperimentRunner(scale=SCALE, store=store).artifacts("wc")
+    memoized = ExperimentRunner(scale=SCALE, store=store).artifacts("wc")
+    assert memoized is hydrated
+    storeless = ExperimentRunner(scale=SCALE, telemetry=Telemetry())
+    assert storeless.artifacts("wc") is not hydrated
+    totals = storeless.telemetry.totals()
+    assert totals["memo_hits"] == 0
+    assert totals["interp_instructions"] > 0
+
+
+def test_memo_hit_is_counted_and_skips_the_hydrate_span(tmp_path):
+    store = ArtifactStore(str(tmp_path))
+    ExperimentRunner(scale=SCALE, store=store).artifacts("wc")
+    recorder = obs.Recorder()
+    with obs.use(recorder):
+        for _ in range(3):
+            ExperimentRunner(scale=SCALE, store=store).artifacts("wc")
+    spans = [record["name"] for record in recorder.records
+             if record["type"] == "span"]
+    assert spans.count("artifacts") == 3
+    assert spans.count("hydrate") == 1
+    counters = recorder.metrics.counter_values()
+    assert counters["artifacts_memo_hits"] == 2
+    assert counters["store_hits"] == 3
+
+
+def test_memoized_traces_are_read_only(tmp_path):
+    store = ArtifactStore(str(tmp_path))
+    ExperimentRunner(scale=SCALE, store=store).artifacts("wc")
+    art = ExperimentRunner(scale=SCALE, store=store).artifacts("wc")
+    for trace in (art.trace, art.original_trace):
+        with pytest.raises(ValueError):
+            trace.block_ids[0] = 0
+        with pytest.raises(ValueError):
+            trace.via[0] = 0
+
+
+def test_cap_evicts_least_recently_used(tmp_path, monkeypatch):
+    monkeypatch.setattr(runner_module, "MEMO_CAPACITY", 2)
+    store_dir = str(tmp_path)
+    for name in ("wc", "cmp", "tee"):
+        explain(name, store_dir)
+    clear_memo()
+
+    def memo_hit(name: str) -> bool:
+        return explain(name, store_dir)[1]["memo_hits"] == 1
+
+    assert not memo_hit("wc")        # memo: wc
+    assert not memo_hit("cmp")       # memo: wc, cmp
+    assert memo_hit("wc")            # memo: cmp, wc
+    assert not memo_hit("tee")       # evicts cmp -> wc, tee
+    assert memo_hit("wc")
+    assert not memo_hit("cmp")       # evicts tee -> wc, cmp
+    assert not memo_hit("tee")       # evicts wc -> cmp, tee
+    assert memo_hit("cmp")
+
+
+def test_threads_explaining_concurrently_agree(tmp_path):
+    store_dir = str(tmp_path)
+    names = ["wc", "cmp", "tee", "grep"]
+    expected = {name: explain(name, store_dir)[0] for name in names}
+    clear_memo()
+    results: list[tuple[str, str, int]] = []
+    errors: list[Exception] = []
+
+    def work(offset: int) -> None:
+        try:
+            for step in range(2 * len(names)):
+                name = names[(offset + step) % len(names)]
+                output, _totals = explain(name, store_dir)
+                art = ExperimentRunner(
+                    scale=SCALE, store=ArtifactStore(store_dir)
+                ).artifacts(name)
+                results.append((name, output, id(art)))
+        except Exception as exc:  # surfaced by the assert below
+            errors.append(exc)
+
+    # More threads than cores, switching often, so hydrations of one
+    # program race to be admitted.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,))
+                   for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors
+    assert len(results) == 4 * 2 * len(names)
+    shared: dict[str, set[int]] = {}
+    for name, output, art_id in results:
+        assert output == expected[name]
+        shared.setdefault(name, set()).add(art_id)
+    # Every racing hydration handed back the one admitted entry.
+    assert all(len(ids) == 1 for ids in shared.values())
