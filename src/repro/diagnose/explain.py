@@ -191,8 +191,7 @@ def _render_opt_section(
         lines.append(
             f"  {pass_report.name:<12} {pass_report.before_instructions:>6} "
             f"-> {pass_report.after_instructions:<6} instrs "
-            f"({pass_report.instructions_removed:+d}) "
-            f"in {pass_report.wall_s * 1e3:.1f} ms"
+            f"({pass_report.instructions_removed:+d})"
         )
     ratio = 100 * optimized.misses / max(optimized.accesses, 1)
     base_ratio = 100 * unoptimized.misses / max(unoptimized.accesses, 1)

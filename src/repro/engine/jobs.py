@@ -3,10 +3,10 @@
 Four job kinds cover the whole evaluation:
 
 * ``artifacts`` — build+profile+place+trace one workload at one scale and
-  persist the result in the artifact store.  With a ``placement`` entry
-  in its params (the autotuner's hyperparameter overrides), the build
-  runs under those tuned :class:`PlacementOptions` — which are part of
-  the store key, so tuned artifacts never collide with default entries;
+  persist its execution in the artifact store.  With a ``placement``
+  entry in its params (the autotuner's hyperparameter overrides), it
+  places under those tuned :class:`PlacementOptions`; only their
+  middle-end passes key the store entry;
 * ``table`` — regenerate one experiment table, rehydrating every workload
   it replays from the store (its dependencies guarantee the entries
   exist, so a table job never interprets anything itself);
@@ -113,7 +113,7 @@ def table_plan(
     ``opt`` (a middle-end pass spec like ``"all"``) makes every job in
     the plan run under tuned placement options with those passes enabled
     — artifact builds and table regenerations alike, so the tables
-    measure the optimized programs and the artifacts land under distinct
+    measure the optimized programs and the executions land under distinct
     store keys.  ``None``/``"none"`` is the byte-identical default path.
     """
     unknown = [t for t in tables if t not in ALL_TABLE_NAMES]
@@ -253,8 +253,7 @@ def execute_job(
             # Autotuner work runs under the candidate's placement options
             # — never the (default-options) shared runner, whose memoized
             # artifacts would be wrong for tuned hyperparameters.  Only
-            # the store is shared; it keys on the options, so tuned and
-            # default artifacts coexist without collision.
+            # the store is shared: its executions serve every placement.
             from repro.search.space import placement_options
 
             store = (

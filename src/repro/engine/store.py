@@ -1,20 +1,21 @@
 """Content-addressed artifact store for experiment pipelines.
 
-Every expensive pipeline product — profiling runs, evaluation traces, and
-the profile inputs the placement stages re-derive from — is keyed by a
-stable hash of four ingredients::
+Each entry holds one workload's *execution*: the calling-context profile
+of its profiling runs and its trace input's block trace (with the
+middle-end on, also the pass profiles and the unoptimized program's
+profile and trace).  Placement replays from it, so the key is a hash of::
 
-    (workload name, input scale, placement options, code version)
+    (workload name, input scale, middle-end passes, code version)
 
-where the code version is itself a hash of the ``ir``/``interp``/
-``placement``/``workloads`` sources, so editing anything that could change
-an artifact automatically invalidates it.  Entries persist under
+where the code version is itself a hash of the ``ir``/``interp``/``opt``/
+``placement``/``workloads`` sources, so editing anything that could
+change an artifact automatically invalidates it.  Entries persist under
 ``~/.cache/repro`` (override with ``--cache-dir`` or ``REPRO_CACHE_DIR``)
 as one directory per key::
 
     <root>/objects/<key>/meta.json       provenance, checksums, hit counts
-    <root>/objects/<key>/profiles.json   serialised ProfileData documents
-    <root>/objects/<key>/arrays.npz      block traces (compressed numpy)
+    <root>/objects/<key>/profiles.json   context table, profile documents
+    <root>/objects/<key>/arrays.npz      context counts, block traces
     <root>/quarantine/<key>[...]         entries that failed verification
     <root>/index.json                    summary of all entries (derived)
     <root>/.lock                         inter-process flock
@@ -152,11 +153,13 @@ def options_fingerprint(options) -> str:
 
 
 def artifact_key(
-    workload: str, scale: str, options, version: str | None = None
+    workload: str, scale: str, opt, version: str | None = None
 ) -> str:
-    """The content address of one workload's pipeline artifacts."""
+    """The content address of one workload's execution entry; ``opt``
+    (``PlacementOptions.opt``) is the only option an execution depends on.
+    """
     payload = "\0".join(
-        (workload, scale, options_fingerprint(options),
+        (workload, scale, options_fingerprint(opt),
          version if version is not None else code_version())
     )
     return hashlib.sha256(payload.encode()).hexdigest()[:24]

@@ -6,13 +6,12 @@ profiling runs, the evaluation trace comes from one randomly-selected
 input, and the same trace is replayed against every cache configuration
 (and, via :meth:`addresses`, every layout and code-scaling factor).
 
-A runner can additionally be backed by the content-addressed
-:class:`~repro.engine.store.ArtifactStore`: the first build of a
-(workload, scale, options, code-version) tuple persists its profiles and
-traces; later builds — in this process or any other — rehydrate them and
-re-run only the cheap deterministic placement stages, executing **zero**
-interpreter steps.  Attach a :class:`~repro.engine.telemetry.Telemetry`
-to observe exactly that.
+A build interprets the workload into an *execution* (:meth:`_compute`),
+then places it under the runner's options (:meth:`_hydrate`).  With an
+:class:`~repro.engine.store.ArtifactStore`, executions persist, and every
+later build — under any placement options, in any process — only places,
+executing **zero** interpreter steps (a
+:class:`~repro.engine.telemetry.Telemetry` observes exactly that).
 
 Hydrated artifacts are also kept in a bounded process-wide memo, so a
 long-lived process (``repro serve``, a benchmark loop) rebuilds and
@@ -38,16 +37,18 @@ from repro.interp.interpreter import Interpreter
 from repro.interp.trace import BlockTrace
 from repro.ir.program import Program
 from repro.ir.serialize import profile_from_dict, profile_to_dict
+from repro.opt import run_opt
 from repro.placement.baselines import natural_order, random_order
 from repro.placement.conflict_aware import conflict_aware_order
 from repro.placement.pettis_hansen import pettis_hansen_order
 from repro.placement.image import MemoryImage
-from repro.placement.inline import derive_trace
+from repro.placement.contexts import ContextProfile, derive_trace
 from repro.placement.pipeline import (
     PlacementOptions,
     PlacementResult,
+    ProfiledProgram,
     optimize_from_profiles,
-    optimize_program,
+    profile_execution,
 )
 from repro.placement.scaling import scaled_sizes
 from repro.workloads.registry import Workload, get_workload, workload_names
@@ -161,7 +162,7 @@ class ExperimentRunner:
             memo_hits = 0
             key = None
             if self.store is not None:
-                key = artifact_key(name, self.scale, self.options)
+                key = artifact_key(name, self.scale, self.options.opt)
                 # The Workload object, not its name: a name re-registered
                 # with other inputs is another program.
                 memo_key = (workload, self.scale, self.options,
@@ -180,21 +181,24 @@ class ExperimentRunner:
                         memo_hits = 1
                         recorder.count("artifacts_memo_hits", 1)
                     else:
-                        with recorder.span("hydrate", cat="pipeline"):
-                            art = self._hydrate(workload, payload)
-                        if art is not None:
-                            art = _memo_admit(memo_key, art)
+                        try:
+                            with recorder.span("hydrate", cat="pipeline"):
+                                art = _memo_admit(
+                                    memo_key, self._hydrate(workload, payload)
+                                )
+                        except (LookupError, ValueError):
+                            pass   # a structurally stale entry: compute
                     if art is not None:
                         interp_steps = 0
                         outcome = "hit"
             try:
                 if art is None:
-                    art, interp_steps = self._compute(workload)
+                    payload, profiled = self._compute(workload)
+                    interp_steps = payload.meta["interp_instructions"]
                     if self.store is not None:
                         outcome = "miss"
-                        self.store.put(
-                            key, self._dehydrate(art, interp_steps)
-                        )
+                        self.store.put(key, payload)
+                    art = self._hydrate(workload, payload, profiled)
             finally:
                 if claimed:
                     self.store.release(key)
@@ -243,152 +247,94 @@ class ExperimentRunner:
 
     # -- cold path: run the interpreter ------------------------------------
 
-    def _compute(self, workload: Workload) -> tuple[WorkloadArtifacts, int]:
-        """Full build+profile+place+trace; returns interpreter step count.
-
-        The trace input is interpreted once, on the pre-inline program;
-        the placed program's trace is derived from that run through the
-        inliner's block origins.  With the middle-end off, that run is
-        also the original program's trace; with it on, the original
-        (pre-opt) program needs a run of its own.
-        """
+    def _compute(
+        self, workload: Workload
+    ) -> tuple[ArtifactPayload, ProfiledProgram]:
+        """Interpret the workload into an execution entry (the store
+        module lists what one holds)."""
         recorder = obs.current()
         with recorder.span("build", cat="pipeline"):
-            program = workload.build()
-        placement = optimize_program(
-            program, workload.profiling_inputs(self.scale), self.options
+            source = workload.build()
+        profiled = profile_execution(
+            source, workload.profiling_inputs(self.scale), self.options.opt
         )
-        pre = placement.pre_inline_profile
+        contexts = profiled.contexts
+        profiles = {
+            "contexts": [list(context) for context in contexts.contexts],
+            "run_instructions": list(contexts.run_instructions),
+            "opt": [profile_to_dict(p) for p in profiled.opt_profiles],
+        }
+        arrays = {"context_keys": contexts.keys,
+                  "context_counts": contexts.counts}
+        steps = sum(contexts.run_instructions) + sum(
+            p.dynamic_instructions for p in profiled.opt_profiles)
+        runs = {"input": profiled.program}
+        if profiled.original_profile is not None:
+            runs["original"] = source
+            profiles["orig"] = profile_to_dict(profiled.original_profile)
+            steps += profiled.original_profile.dynamic_instructions
         trace_input = workload.trace_input(self.scale)
         with recorder.span("trace_generation", cat="pipeline"):
-            result = Interpreter(pre.program).run(
-                trace_input, max_instructions=MAX_TRACE_INSTRUCTIONS
-            )
-            pre_trace = BlockTrace.from_execution(result)
-            trace = derive_trace(
-                pre.program, placement.inline_report, pre_trace
-            )
-            original_trace = pre_trace
-            interp_steps = result.instructions
-            if pre.program is not program:
-                original_result = Interpreter(program).run(
+            for name, program in runs.items():
+                result = Interpreter(program).run(
                     trace_input, max_instructions=MAX_TRACE_INSTRUCTIONS
                 )
-                original_trace = BlockTrace.from_execution(original_result)
-                interp_steps += original_result.instructions
-        orig = placement.original_profile
-        interp_steps += (
-            pre.dynamic_instructions
-            + (orig.dynamic_instructions if orig is not pre else 0)
-            + sum(p.dynamic_instructions for p in placement.opt_profiles)
-        )
-        art = WorkloadArtifacts(
-            workload=workload,
-            original_program=program,
-            placement=placement,
-            trace=trace,
-            original_trace=original_trace,
-        )
-        return art, interp_steps
+                arrays[f"{name}_block_ids"] = result.block_ids
+                arrays[f"{name}_via"] = result.via
+                steps += result.instructions
+        return ArtifactPayload(profiles, arrays, {
+            "workload": workload.name, "scale": self.scale,
+            "interp_instructions": steps,
+        }), profiled
 
-    # -- store (de)hydration -----------------------------------------------
-
-    def _dehydrate(
-        self, art: WorkloadArtifacts, interp_steps: int
-    ) -> ArtifactPayload:
-        """Persistable form: the two profiles and the two block traces.
-
-        The programs themselves are *not* stored — ``Workload.build`` and
-        the placement stages are deterministic, so rehydration rebuilds
-        them bit-identically from the stored profiles.
-        """
-        placement = art.placement
-        profiles = {
-            "pre": profile_to_dict(placement.pre_inline_profile),
-            "post": profile_to_dict(placement.profile),
-        }
-        # Middle-end extras: the profiles its passes consumed (replayed in
-        # request order on rehydration) and the unoptimized-program profile
-        # the baseline layouts need.  Absent entirely when the middle-end
-        # is off, keeping no-opt payloads byte-identical to older ones.
-        for index, profile in enumerate(placement.opt_profiles):
-            profiles[f"opt{index}"] = profile_to_dict(profile)
-        if placement.original_profile is not placement.pre_inline_profile:
-            profiles["orig"] = profile_to_dict(placement.original_profile)
-        return ArtifactPayload(
-            profiles=profiles,
-            arrays={
-                "trace_block_ids": art.trace.block_ids,
-                "trace_via": art.trace.via,
-                "original_block_ids": art.original_trace.block_ids,
-                "original_via": art.original_trace.via,
-            },
-            meta={
-                "workload": art.workload.name,
-                "scale": self.scale,
-                "interp_instructions": interp_steps,
-            },
-        )
+    # -- one path from an execution entry to placed artifacts --------------
 
     def _hydrate(
-        self, workload: Workload, payload: ArtifactPayload
-    ) -> WorkloadArtifacts | None:
-        """Reconstruct artifacts without any interpreter execution."""
-        try:
+        self,
+        workload: Workload,
+        payload: ArtifactPayload,
+        profiled: ProfiledProgram | None = None,
+    ) -> WorkloadArtifacts:
+        """Place an execution entry under this runner's options, without
+        interpreting.  A store hit rebuilds the :class:`ProfiledProgram`
+        a cold build passes in (``Workload.build`` and the middle-end are
+        deterministic).  Raises ``LookupError``/``ValueError`` on an entry
+        that does not fit."""
+        profiles, arrays = payload.profiles, payload.arrays
+        if profiled is None:
             source = workload.build()
-            program = source
-            opt_report = None
-            opt_profiles: list = []
-            original_profile = None
-            if self.options.opt.passes:
-                # Replay the middle-end deterministically: each pass that
-                # asked for a profile gets the persisted one, in order.
-                import itertools
-
-                from repro.opt import run_opt
-
-                counter = itertools.count()
-                program, opt_report, opt_profiles = run_opt(
-                    source,
-                    self.options.opt,
-                    profile_source=lambda p: profile_from_dict(
-                        payload.profiles[f"opt{next(counter)}"], p
-                    ),
-                )
-            pre_profile = profile_from_dict(payload.profiles["pre"], program)
-            if program is not source:
-                original_profile = profile_from_dict(
-                    payload.profiles["orig"], source
-                )
-            placement = optimize_from_profiles(
-                program,
-                pre_profile,
-                lambda inlined, _report: profile_from_dict(
-                    payload.profiles["post"], inlined
-                ),
-                self.options,
-                original_program=source,
-                opt_report=opt_report,
-                opt_profiles=opt_profiles,
-                original_profile=original_profile,
+            # The passes' profiles, replayed in the order they asked.
+            opt_docs = list(profiles["opt"])
+            program, opt_report, opt_profiles = run_opt(
+                source, self.options.opt,
+                profile_source=lambda p: profile_from_dict(opt_docs.pop(0), p),
             )
-            arrays = payload.arrays
-            return WorkloadArtifacts(
-                workload=workload,
-                original_program=source,
-                placement=placement,
-                trace=BlockTrace(
-                    block_ids=arrays["trace_block_ids"],
-                    via=arrays["trace_via"],
-                ),
-                original_trace=BlockTrace(
-                    block_ids=arrays["original_block_ids"],
-                    via=arrays["original_via"],
-                ),
+            contexts = ContextProfile(
+                program, tuple(map(tuple, profiles["contexts"])),
+                arrays["context_keys"], arrays["context_counts"],
+                tuple(profiles["run_instructions"]),
             )
-        except (KeyError, ValueError):
-            # Corrupt or structurally stale entry: fall back to computing.
-            return None
+            profiled = ProfiledProgram(
+                source, program, contexts, opt_report, opt_profiles,
+                None if program is source
+                else profile_from_dict(profiles["orig"], source),
+            )
+        placement = optimize_from_profiles(profiled, self.options)
+        trace_input = BlockTrace(arrays["input_block_ids"], arrays["input_via"])
+        original_trace = trace_input
+        if profiled.original_profile is not None:
+            original_trace = BlockTrace(
+                arrays["original_block_ids"], arrays["original_via"]
+            )
+        return WorkloadArtifacts(
+            workload=workload,
+            original_program=profiled.original_program,
+            placement=placement,
+            trace=derive_trace(
+                profiled.program, placement.inline_report, trace_input
+            ),
+            original_trace=original_trace,
+        )
 
     # -- derived images and address traces ---------------------------------
 

@@ -1,7 +1,7 @@
 """The pass pipeline: configuration, reports, and the driver.
 
 :class:`OptOptions` is the frozen knob block the placement options embed
-(so pass configuration lands in every store key and fingerprint), and
+(and the part of them that keys an artifact-store entry), and
 :func:`run_opt` is the driver the placement pipeline calls: it threads a
 program through the configured passes in order, wraps each in an obs
 span, records before/after IR stats per pass, and re-validates the IR

@@ -25,18 +25,15 @@ differential interpretation.
 The splice is also *trace preserving*: every CALL→JMP and RET→JMP rewrite
 keeps one dynamic block per executed block.  The inliner records where
 each block of the result came from (:attr:`InlineReport.origins`), and
-:func:`derive_trace` uses that to rewrite a pre-inline block trace into
-the inlined program's — the post-inline profile and the placed-program
-trace then follow from the pre-inline runs without interpreting again.
+:mod:`repro.placement.contexts` projects a calling-context profile of the
+pre-inline runs through those origins — the post-inline profile and the
+placed-program trace then follow without interpreting again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from repro.interp.trace import BlockTrace
 from repro.ir.block import BasicBlock
 from repro.ir.function import Function
 from repro.ir.instructions import Instruction, Opcode
@@ -48,7 +45,6 @@ __all__ = [
     "InlinePolicy",
     "InlineReport",
     "InlinedSite",
-    "derive_trace",
     "inline_expand",
 ]
 
@@ -285,66 +281,3 @@ def inline_expand(
     validate_program(inlined)
     return inlined, report
 
-
-def derive_trace(
-    program: Program, report: InlineReport, trace: BlockTrace
-) -> BlockTrace:
-    """Rewrite a block trace of ``program`` into the inlined program's.
-
-    ``report`` is what :func:`inline_expand` returned for ``program``.
-    Each executed block maps to exactly one inlined block, picked by the
-    chain of inlined call sites active at that point: a CALL at an
-    inlined site enters that site's clone context, any other CALL enters
-    the callee's own body (the empty chain), and a RET returns to the
-    caller's context.  ``via`` carries over unchanged, since CALL→JMP and
-    RET→JMP both leave through the terminator.  Raises ``ValueError`` if
-    the trace visits a block the inlined program has no copy of.
-    """
-    n = program.num_blocks
-    contexts: dict[tuple[int, ...], int] = {(): 0}
-    for chain, _ in report.origins:
-        contexts.setdefault(chain, len(contexts))
-    remap = np.full(len(contexts) * n, -1, dtype=np.int64)
-    for new_bid, (chain, bid) in enumerate(report.origins):
-        remap[contexts[chain] * n + bid] = new_bid
-    block_ids = trace.block_ids
-    if len(contexts) == 1:
-        context_of = np.zeros(len(block_ids), dtype=np.int64)
-    else:
-        # (context, site bid) -> context entered by that site's clone.
-        child = {
-            contexts[chain[:-1]] * n + chain[-1]: context
-            for chain, context in contexts.items() if chain
-        }
-        kinds = [block.kind for block in program.blocks]
-        is_call = np.asarray([k is Opcode.CALL for k in kinds], dtype=bool)
-        is_ret = np.asarray([k is Opcode.RET for k in kinds], dtype=bool)
-        events = np.flatnonzero((is_call | is_ret)[block_ids])
-        calls = is_call[block_ids[events]].tolist()
-        sites = block_ids[events].tolist()
-        # Context of each segment: before the first event, then after
-        # each event in turn.
-        segments = [0]
-        stack: list[int] = []
-        current = 0
-        for site, call in zip(sites, calls):
-            if call:
-                stack.append(current)
-                current = child.get(current * n + site, 0)
-            elif stack:
-                current = stack.pop()
-            else:
-                raise ValueError("trace returns with an empty call stack")
-            segments.append(current)
-        bounds = np.concatenate(([0], events + 1, [len(block_ids)]))
-        context_of = np.repeat(
-            np.asarray(segments, dtype=np.int64), np.diff(bounds)
-        )
-    mapped = remap[context_of * n + block_ids]
-    if len(mapped) and mapped.min() < 0:
-        position = int(np.argmax(mapped < 0))
-        raise ValueError(
-            f"trace position {position}: block {int(block_ids[position])} "
-            "has no copy in the inlined program"
-        )
-    return BlockTrace(block_ids=mapped.astype(np.int32), via=trace.via)

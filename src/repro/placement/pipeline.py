@@ -1,20 +1,18 @@
 """The five-step IMPACT-I instruction placement pipeline (paper Section 3).
 
     0. (optional) middle-end passes   -> repro.opt
-    1. execution profiling            -> repro.interp.profiler
+    1. execution profiling            -> repro.placement.contexts
     2. function inline expansion      -> repro.placement.inline
     3. trace selection                -> repro.placement.trace_selection
     4. function layout                -> repro.placement.function_layout
     5. global layout                  -> repro.placement.global_layout
 
 :func:`optimize_program` runs all five and links the result into a
-:class:`~repro.placement.image.MemoryImage`.  The post-inline profile is
-derived from the pre-inline profiling runs, not measured again: the
-inliner records each new block's origin, each run's block trace is
-rewritten through those origins
-(:func:`~repro.placement.inline.derive_trace`), and the rewritten traces
-are folded into weights for the post-inline control graphs — the paper
-carrying weights through the transformation.
+:class:`~repro.placement.image.MemoryImage`: :func:`profile_execution`
+interprets (Steps 0-1), then :func:`optimize_from_profiles` places.
+Profiling records a calling-context profile, so the post-inline profile
+is its projection through the inliner's block origins — the paper
+carrying weights through the transformation, exact for any policy.
 
 Steps can be disabled individually through :class:`PlacementOptions`,
 which is what the ablation benchmarks exercise.
@@ -23,13 +21,13 @@ which is what the ablation benchmarks exercise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from repro import obs
 from repro.interp.interpreter import Interpreter
-from repro.interp.trace import BlockTrace
 from repro.ir.program import Program
 from repro.opt import OptOptions, PipelineReport, run_opt
+from repro.placement.contexts import ContextProfile, ContextProfiler
 from repro.placement.function_layout import FunctionLayout, layout_function
 from repro.placement.global_layout import (
     GlobalLayout,
@@ -37,12 +35,7 @@ from repro.placement.global_layout import (
     layout_globally,
 )
 from repro.placement.image import MemoryImage
-from repro.placement.inline import (
-    InlinePolicy,
-    InlineReport,
-    derive_trace,
-    inline_expand,
-)
+from repro.placement.inline import InlinePolicy, InlineReport, inline_expand
 from repro.placement.profile_data import ProfileData
 from repro.placement.trace_selection import (
     MIN_PROB,
@@ -53,9 +46,11 @@ from repro.placement.trace_selection import (
 __all__ = [
     "PlacementOptions",
     "PlacementResult",
+    "ProfiledProgram",
     "optimize_from_profiles",
     "optimize_program",
     "place",
+    "profile_execution",
 ]
 
 
@@ -109,8 +104,8 @@ class PlacementOptions:
         ``opt_passes``, one pipeline stage the paper's compiler had but
         the default reproduction disables; ``None`` keeps the paper's
         value, so ``tuned()`` == ``paper()`` == ``PlacementOptions()``
-        — equal as dataclasses and identical under the artifact store's
-        options fingerprint.
+        — equal as dataclasses and under
+        :func:`~repro.engine.store.options_fingerprint`.
         """
         inline = InlinePolicy()
         if inline_min_call_count is not None:
@@ -130,7 +125,6 @@ class PlacementOptions:
 class PlacementResult:
     """Everything the pipeline produced, for inspection and experiments."""
 
-    original_program: Program             # pre-opt, as the workload built it
     program: Program                      # post-inline
     pre_inline_profile: ProfileData       # binds to the post-opt program
     profile: ProfileData                  # post-inline
@@ -142,13 +136,63 @@ class PlacementResult:
     image: MemoryImage
     #: Per-pass middle-end stats (empty when the middle-end is off).
     opt_report: PipelineReport = field(default_factory=PipelineReport)
-    #: Profiles middle-end passes requested, in order (for cache replay).
-    opt_profiles: list[ProfileData] = field(default_factory=list)
-    #: A profile bound to ``original_program``.  With the middle-end off
-    #: this *is* ``pre_inline_profile``; with it on, it is the extra
-    #: profiling run baselines (Pettis-Hansen) need against the
+    #: A profile of the program as the workload built it.  With the
+    #: middle-end off this *is* ``pre_inline_profile``; with it on, it is
+    #: the extra profiling run baselines (Pettis-Hansen) need against the
     #: unoptimized program.
     original_profile: ProfileData | None = None
+
+
+@dataclass
+class ProfiledProgram:
+    """Steps 0-1: all Steps 2-5 read, for any options with these passes."""
+
+    original_program: Program     # pre-opt, as the workload built it
+    program: Program              # post-opt (``original_program`` if off)
+    contexts: ContextProfile      # of ``program`` over the profiling runs
+    opt_report: PipelineReport = field(default_factory=PipelineReport)
+    opt_profiles: list[ProfileData] = field(default_factory=list)
+    #: Of ``original_program``; ``None`` with the middle-end off.
+    original_profile: ProfileData | None = None
+
+
+def profile_execution(
+    program: Program,
+    profiling_inputs: Sequence[Iterable[int]],
+    opt: OptOptions = OptOptions(),
+) -> ProfiledProgram:
+    """Step 0 (if configured) and Step 1: interpret the profiling runs."""
+    # Imported here: repro.interp.profiler imports this package.
+    from repro.interp.profiler import observe_profile, profile_program
+
+    recorder = obs.current()
+    source = program
+    program, opt_report, opt_profiles = run_opt(
+        source, opt,
+        profile_source=lambda p: profile_program(p, profiling_inputs),
+    )
+    with recorder.span("profiling", cat="pipeline",
+                       runs=len(profiling_inputs)):
+        interpreter = Interpreter(program)
+        profiler = ContextProfiler(program)
+        for input_values in profiling_inputs:
+            profiler.record(interpreter.run(input_values))
+        contexts = profiler.finish()
+        if recorder.enabled:
+            observe_profile(contexts.project())
+    original_profile = None
+    if program is not source:
+        with recorder.span("profiling_original", cat="pipeline",
+                           runs=len(profiling_inputs)):
+            original_profile = profile_program(source, profiling_inputs)
+    return ProfiledProgram(
+        original_program=source,
+        program=program,
+        contexts=contexts,
+        opt_report=opt_report,
+        opt_profiles=opt_profiles,
+        original_profile=original_profile,
+    )
 
 
 def optimize_program(
@@ -157,85 +201,26 @@ def optimize_program(
     options: PlacementOptions = PlacementOptions(),
 ) -> PlacementResult:
     """Run Step 0 (if configured), profiling, and the placement pipeline."""
-    # Imported here to avoid a circular import: repro.interp.profiler
-    # depends on repro.placement.profile_data.
-    from repro.interp.profiler import profile_program, profile_traces
-
-    recorder = obs.current()
-    source = program
-    opt_report = PipelineReport()
-    opt_profiles: list[ProfileData] = []
-    if options.opt.passes:
-        program, opt_report, opt_profiles = run_opt(
-            source,
-            options.opt,
-            profile_source=lambda p: profile_program(p, profiling_inputs),
-        )
-
-    with recorder.span("profiling", cat="pipeline",
-                       runs=len(profiling_inputs)):
-        interpreter = Interpreter(program)
-        # Kept until inlining is done: the post-inline profile is derived
-        # from these traces.
-        runs = [
-            BlockTrace.from_execution(interpreter.run(input_values))
-            for input_values in profiling_inputs
-        ]
-        pre_profile = profile_traces(program, runs)
-
-    original_profile = pre_profile
-    if program is not source:
-        with recorder.span("profiling_original", cat="pipeline",
-                           runs=len(profiling_inputs)):
-            original_profile = profile_program(source, profiling_inputs)
-
-    def reprofile(inlined: Program, report: InlineReport) -> ProfileData:
-        with recorder.span("reprofile", cat="pipeline", runs=len(runs)):
-            profile = profile_traces(
-                inlined, (derive_trace(program, report, run) for run in runs)
-            )
-        runs.clear()
-        return profile
-
     return optimize_from_profiles(
-        program, pre_profile, reprofile, options,
-        original_program=source,
-        opt_report=opt_report,
-        opt_profiles=opt_profiles,
-        original_profile=original_profile,
+        profile_execution(program, profiling_inputs, options.opt), options
     )
 
 
 def optimize_from_profiles(
-    program: Program,
-    pre_profile: ProfileData,
-    reprofile: Callable[[Program, InlineReport], ProfileData],
+    profiled: ProfiledProgram,
     options: PlacementOptions = PlacementOptions(),
-    original_program: Program | None = None,
-    opt_report: PipelineReport | None = None,
-    opt_profiles: list[ProfileData] | None = None,
-    original_profile: ProfileData | None = None,
 ) -> PlacementResult:
-    """Steps 2-5 given a pre-inline profile and a post-inline profile source.
-
-    ``program`` and ``pre_profile`` are *post-middle-end* here; when the
-    middle-end ran, callers pass the pre-opt ``original_program`` (plus
-    its ``original_profile`` and the middle-end's report/profiles) so the
-    result can still serve unoptimized baselines.  ``reprofile`` maps the
-    inlined program and the inliner's report to the inlined program's
-    profile.  In the normal path that derives it from the pre-inline
-    profiling runs through the report's block origins; the artifact store
-    instead rebinds a persisted profile document, which is how a
-    warm-cache run reproduces the identical :class:`PlacementResult` with
-    zero interpreter steps.
-    """
+    """Steps 2-5, without interpreting: the pre- and post-inline profiles
+    are both projections of the one context profile."""
     recorder = obs.current()
+    program = profiled.program
+    pre_profile = profiled.contexts.project()
     if options.inline is not None:
         with recorder.span("inlining", cat="pipeline"):
             inlined, report = inline_expand(
                 program, pre_profile, options.inline
             )
-        profile = reprofile(inlined, report)
+        profile = profiled.contexts.project(report, inlined)
     else:
         inlined = program
         profile = pre_profile
@@ -249,9 +234,6 @@ def optimize_from_profiles(
 
     result = place(inlined, profile, options)
     return PlacementResult(
-        original_program=(
-            program if original_program is None else original_program
-        ),
         program=inlined,
         pre_inline_profile=pre_profile,
         profile=profile,
@@ -261,10 +243,10 @@ def optimize_from_profiles(
         global_layout=result.global_layout,
         order=result.order,
         image=result.image,
-        opt_report=opt_report if opt_report is not None else PipelineReport(),
-        opt_profiles=opt_profiles if opt_profiles is not None else [],
+        opt_report=profiled.opt_report,
         original_profile=(
-            pre_profile if original_profile is None else original_profile
+            pre_profile if profiled.original_profile is None
+            else profiled.original_profile
         ),
     )
 

@@ -6,10 +6,9 @@ trial becomes two layers of engine work:
 * ``artifacts:{workload}@{scale}#{pfp}`` — build+profile+place+trace the
   workload under the candidate's *placement* configuration (``pfp`` is
   the placement fingerprint).  Candidates that share placement axes
-  share these jobs, and — because :class:`PlacementOptions` is part of
-  the artifact-store key — they share store entries with each other and
-  with ordinary table runs at the defaults, while never colliding across
-  different hyperparameters.
+  share these jobs; candidates that share middle-end passes share one
+  store entry — one interpretation — with each other and with ordinary
+  table runs.
 * ``trial:tNNNrR`` — rehydrate those artifacts and replay the trace
   against the candidate's layout and cache geometry.  Pure simulation:
   a trial job executes zero interpreter steps when its artifact

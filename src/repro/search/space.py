@@ -13,9 +13,9 @@ autotuner (``repro tune``) can ask whether they are actually optimal:
 * :func:`placement_options` lowers the placement-affecting subset of a
   candidate into a :class:`~repro.placement.pipeline.PlacementOptions`,
   such that the default candidate maps to ``PlacementOptions()``
-  **exactly** — the default trial therefore shares artifact-store
-  entries with ordinary table runs, while any tuned value lands under a
-  different store key (the options are part of the artifact hash).
+  **exactly** — the default trial therefore places exactly as ordinary
+  table runs do.  Store entries hold executions, keyed by the ``opt``
+  axis alone, so candidates with the same passes share one.
 
 A *candidate* is a plain ``{axis name: value}`` dict, JSON-roundtrippable
 so trial logs can be reloaded and re-analysed.
@@ -48,8 +48,8 @@ __all__ = [
     "LAYOUT_CHOICES",
 ]
 
-#: Axes that feed :class:`PlacementOptions` (and therefore the artifact
-#: store key); the remaining axes only affect the cheap simulation stage.
+#: Axes that feed :class:`PlacementOptions` (of which ``opt`` also keys
+#: the artifact store); the remaining axes only affect simulation.
 PLACEMENT_AXES = ("min_prob", "inline_min_count", "inline_budget", "opt")
 
 #: Middle-end pass configurations the ``opt`` axis can select: nothing

@@ -54,23 +54,24 @@ def _store_keys(request: dict) -> list[str]:
     """The artifact-store keys a normalized request reads or creates."""
     from repro.engine.jobs import workloads_for_table
     from repro.engine.store import artifact_key
-    from repro.placement.pipeline import PlacementOptions
+    from repro.opt import OptOptions
 
-    scale = request.get("scale", "default")
-    options = PlacementOptions()
+    opt = OptOptions.parse(request.get("opt"))
+    options = [opt]
     if request["kind"] == "table":
-        return [
-            artifact_key(name, scale, options)
-            for name in workloads_for_table(request["table"])
-        ]
-    if request["kind"] == "explain":
-        return [artifact_key(request["workload"], scale, options)]
-    # tune: the keys depend on each candidate's placement axes; the
-    # default candidate's keys are the stable, always-touched subset.
-    return [
-        artifact_key(name, scale, options)
-        for name in request.get("workloads", ())
-    ]
+        names = workloads_for_table(request["table"])
+    elif request["kind"] == "explain":
+        names = [request["workload"]]
+        if opt.passes:
+            # ``--opt`` diffs against the same program without passes.
+            options.insert(0, OptOptions())
+    else:
+        # tune: keys vary only with a candidate's middle-end passes; the
+        # no-pass keys are the ones every other candidate shares.
+        names = request.get("workloads", ())
+    scale = request.get("scale", "default")
+    return [artifact_key(name, scale, each)
+            for name in names for each in options]
 
 
 def execute_request(

@@ -39,6 +39,22 @@ class TestExplain:
         assert "[optimized vs natural]" in out
         assert "conflict misses:" in out
 
+    def test_opt_explain_is_reproducible(self, capsys, tmp_path):
+        from repro.experiments.runner import clear_memo
+
+        outputs = []
+        for _ in range(2):
+            # Each run hydrates afresh, replaying (and re-timing) the
+            # middle-end passes.
+            clear_memo()
+            assert main([
+                "explain", "cccp", "--scale", "small", "--opt", "all",
+                "--cache-dir", str(tmp_path),
+            ]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert "[middle-end: " in outputs[0]
+        assert outputs[0] == outputs[1]
+
     def test_unknown_workload_is_a_clean_exit(self, capsys):
         assert main(["explain", "nope"]) == 2
         assert "unknown workload" in capsys.readouterr().err

@@ -48,10 +48,11 @@ def _ledger(tmp_path) -> tuple[str, object]:
     return ledger.path, _is_ledger_record
 
 
-def _damaged(data: bytes):
+def _damaged(data: bytes, offsets=None):
     """Every truncation, and every byte flipped (alternately to a
-    neighbouring ASCII byte and to one that is not valid UTF-8)."""
-    for offset in range(len(data)):
+    neighbouring ASCII byte and to one that is not valid UTF-8); or only
+    those at ``offsets``."""
+    for offset in range(len(data)) if offsets is None else offsets:
         yield data[:offset]
         flipped = bytearray(data)
         flipped[offset] ^= 0x80 if offset % 2 else 0x01

@@ -17,6 +17,7 @@ from repro.engine.store import (
 )
 from repro.engine.telemetry import Telemetry
 from repro.experiments.runner import ExperimentRunner
+from repro.opt import OptOptions
 from repro.placement.pipeline import PlacementOptions
 
 
@@ -41,15 +42,13 @@ class TestKeys:
         assert options_fingerprint(None) == "null"
 
     def test_key_sensitivity(self):
-        base = artifact_key("wc", "small", PlacementOptions())
-        assert base == artifact_key("wc", "small", PlacementOptions())
-        assert base != artifact_key("wc", "default", PlacementOptions())
-        assert base != artifact_key("lex", "small", PlacementOptions())
+        base = artifact_key("wc", "small", OptOptions())
+        assert base == artifact_key("wc", "small", OptOptions())
+        assert base != artifact_key("wc", "default", OptOptions())
+        assert base != artifact_key("lex", "small", OptOptions())
+        assert base != artifact_key("wc", "small", OptOptions.parse("dce"))
         assert base != artifact_key(
-            "wc", "small", PlacementOptions(min_prob=0.9)
-        )
-        assert base != artifact_key(
-            "wc", "small", PlacementOptions(), version="other"
+            "wc", "small", OptOptions(), version="other"
         )
 
     def test_code_version_is_stable_and_short(self):
@@ -372,16 +371,24 @@ class TestRunnerIntegration:
             cold.addresses("tee", "natural"),
         )
 
-    def test_different_options_do_not_share_entries(self, tmp_path):
+    def test_entries_split_on_opt_passes_only(self, tmp_path):
         store = ArtifactStore(tmp_path)
-        plain = ExperimentRunner(scale="small", store=store)
-        ablated = ExperimentRunner(
-            scale="small",
-            options=PlacementOptions(inline=None),
+        telemetry = Telemetry()
+        for options in (
+            PlacementOptions(),
+            PlacementOptions(inline=None),
+            PlacementOptions(min_prob=0.9, select_traces=False),
+        ):
+            ExperimentRunner(
+                scale="small", options=options, store=store,
+                telemetry=telemetry,
+            ).artifacts("tee")
+        assert len(store.entries()) == 1
+        assert telemetry.totals()["store_misses"] == 1
+        ExperimentRunner(
+            scale="small", options=PlacementOptions.tuned(opt_passes="dce"),
             store=store,
-        )
-        plain.artifacts("tee")
-        ablated.artifacts("tee")
+        ).artifacts("tee")
         assert len(store.entries()) == 2
 
     def test_store_off_still_works(self):

@@ -1,22 +1,28 @@
 """Oracle tests for the derived post-inline profile and placed trace.
 
-The pipeline never interprets the inlined program: it rewrites the
-pre-inline block traces through the inliner's block origins.  Each test
-here interprets the inlined program anyway and demands exact equality —
+The pipeline never interprets the inlined program: it projects a
+calling-context profile of the pre-inline runs, and rewrites the
+pre-inline trace, through the inliner's block origins.  Each test here
+interprets the inlined program anyway and demands exact equality —
 block weights, per-run instruction counts, control transfers, dynamic
-calls, and the placed trace's ``block_ids`` and ``via``.
+calls, and the placed trace's ``block_ids`` and ``via`` — both on a cold
+build and on a hydration of an execution entry another inline policy
+stored.
 """
 
 import numpy as np
 import pytest
 
+from repro.engine.store import ArtifactStore
+from repro.engine.telemetry import Telemetry
 from repro.experiments.runner import MAX_TRACE_INSTRUCTIONS, ExperimentRunner
 from repro.interp.interpreter import Interpreter
 from repro.interp.profiler import profile_program
 from repro.interp.trace import BlockTrace
 from repro.ir.builder import ProgramBuilder
 from repro.opt import OptOptions
-from repro.placement.inline import InlinePolicy, derive_trace, inline_expand
+from repro.placement.contexts import derive_trace
+from repro.placement.inline import InlinePolicy, inline_expand
 from repro.placement.pipeline import PlacementOptions, optimize_program
 from repro.workloads.registry import workload_names
 
@@ -53,9 +59,8 @@ def assert_traces_equal(derived: BlockTrace, run):
     np.testing.assert_array_equal(derived.via, run.via)
 
 
-def assert_runner_exact(options: PlacementOptions, name: str):
-    """A cold runner build's derived artifacts equal interpreted ones."""
-    art = ExperimentRunner(scale="small", options=options).artifacts(name)
+def assert_art_exact(art):
+    """Derived artifacts equal what interpreting the placed program gives."""
     placed = art.placement.program
     oracle = profile_program(placed, art.workload.profiling_inputs("small"))
     assert_profiles_equal(art.placement.profile, oracle)
@@ -64,19 +69,50 @@ def assert_runner_exact(options: PlacementOptions, name: str):
         max_instructions=MAX_TRACE_INSTRUCTIONS,
     )
     assert_traces_equal(art.trace, run)
-    return art
+
+
+def assert_runner_exact(
+    options: PlacementOptions, name: str, filler: PlacementOptions, tmp_path
+):
+    """A cold build, and a hydration of the execution entry a build under
+    ``filler`` stored, both equal the interpreted oracle."""
+    cold = ExperimentRunner(scale="small", options=options).artifacts(name)
+    assert_art_exact(cold)
+    store = ArtifactStore(str(tmp_path))
+    ExperimentRunner(scale="small", options=filler, store=store).artifacts(
+        name
+    )
+    telemetry = Telemetry()
+    warm = ExperimentRunner(
+        scale="small", options=options, store=store, telemetry=telemetry
+    ).artifacts(name)
+    assert telemetry.totals()["store_hits"] == 1
+    assert telemetry.totals()["interp_instructions"] == 0
+    assert_art_exact(warm)
+    assert warm.placement.order == cold.placement.order
+    return cold
 
 
 @pytest.mark.parametrize("policy", sorted(POLICIES))
 @pytest.mark.parametrize("name", WORKLOADS)
-def test_workload_derivation_is_exact(name, policy):
-    assert_runner_exact(PlacementOptions(inline=POLICIES[policy]), name)
+def test_workload_derivation_is_exact(name, policy, tmp_path):
+    # The entry is filled under the next policy in turn, so every policy
+    # hydrates an execution another policy placed.
+    names = sorted(POLICIES)
+    filler = names[(names.index(policy) + 1) % len(names)]
+    assert_runner_exact(
+        PlacementOptions(inline=POLICIES[policy]), name,
+        PlacementOptions(inline=POLICIES[filler]), tmp_path,
+    )
 
 
 @pytest.mark.parametrize("name", ["cccp", "awk"])
-def test_opt_stack_derivation_is_exact(name):
-    options = PlacementOptions(opt=OptOptions.parse("lvn,simplify,dce"))
-    art = assert_runner_exact(options, name)
+def test_opt_stack_derivation_is_exact(name, tmp_path):
+    opt = OptOptions.parse("lvn,simplify,dce")
+    art = assert_runner_exact(
+        PlacementOptions(opt=opt), name,
+        PlacementOptions(opt=opt, inline=POLICIES["aggressive"]), tmp_path,
+    )
     # The original trace is its own interpreter run on the pre-opt program.
     original = Interpreter(art.original_program).run(
         art.workload.trace_input("small"),

@@ -5,8 +5,9 @@ Two generators drive these:
 * random fetch-address traces — cross-checking the cache simulators
   against each other and against textbook cache properties;
 * random terminating IR programs (block- and call-DAGs, so execution
-  provably halts) — differential testing of the inliner, the placement
-  pipeline, and the linker/expansion machinery.
+  provably halts, plus bounded recursion and syscalls behind them) —
+  differential testing of the inliner, the context-profile projection,
+  the placement pipeline, and the linker/expansion machinery.
 """
 
 from __future__ import annotations
@@ -29,7 +30,9 @@ from repro.interp.interpreter import run_program
 from repro.interp.profiler import profile_program
 from repro.interp.trace import BlockTrace
 from repro.ir.builder import ProgramBuilder
+from repro.ir.instructions import Opcode
 from repro.ir.validate import validate_program
+from repro.placement.contexts import ContextProfiler, derive_trace
 from repro.placement.image import MemoryImage
 from repro.placement.inline import InlinePolicy, inline_expand
 from repro.placement.pipeline import PlacementOptions, optimize_program
@@ -170,13 +173,103 @@ def dag_programs(draw):
     return pb.build()
 
 
+@st.composite
+def context_programs(draw):
+    """Call DAGs behind a self-recursive function and a syscall, so
+    calling contexts both nest and restart.
+
+    ``main`` calls a drawn sequence of ``g*``, ``rec`` and ``sys``;
+    ``rec`` recurses while ``r6`` (which nothing else writes) is
+    positive, then calls one ``g*``; each ``g*`` may call later ones
+    and ``sys``.
+    """
+    pb = ProgramBuilder()
+    helpers = [f"g{i}" for i in range(draw(st.integers(1, 3)))]
+    callees = helpers + ["rec", "sys"]
+
+    f = pb.function("main")
+    calls = draw(st.lists(st.sampled_from(callees), min_size=1, max_size=5))
+    for index, callee in enumerate(calls):
+        b = f.block(f"c{index}")
+        if callee == "rec":
+            b.li("r6", draw(st.integers(0, 3)))
+        b.add("r1", "r1", draw(st.integers(-2, 2)))
+        b.call(callee, cont=f"c{index + 1}")
+    b = f.block(f"c{len(calls)}")
+    b.out("r1")
+    b.halt()
+
+    f = pb.function("rec")
+    b = f.block("entry")
+    b.ble("r6", 0, taken="base", fall="down")
+    b = f.block("down")
+    b.sub("r6", "r6", 1)
+    b.call("rec", cont="base")
+    b = f.block("base")
+    b.call(draw(st.sampled_from(helpers)), cont="done")
+    b = f.block("done")
+    b.ret()
+
+    for index, name in enumerate(helpers):
+        f = pb.function(name)
+        b = f.block("entry")
+        b.add("r2", "r2", "r1")
+        b.blt("r2", draw(st.integers(-3, 3)), taken="call", fall="done")
+        b = f.block("call")
+        b.call(draw(st.sampled_from(helpers[index + 1:] + ["sys"])),
+               cont="done")
+        b = f.block("done")
+        b.in_("r1")
+        b.ret()
+
+    f = pb.function("sys", is_syscall=True)
+    b = f.block("entry")
+    b.out("r2")
+    b.ret()
+    return pb.build()
+
+
 inputs_strategy = st.lists(st.integers(-4, 4), max_size=6)
+
+policies_strategy = st.builds(
+    InlinePolicy,
+    min_call_fraction=st.just(0.0),
+    min_call_count=st.integers(1, 4),
+    max_code_growth=st.sampled_from([1.0, 1.5, 3.0, 20.0]),
+    min_growth_instructions=st.sampled_from([0, 8, 250]),
+)
 
 EAGER = PlacementOptions(
     inline=InlinePolicy(
         min_call_fraction=0.0, min_call_count=1, max_code_growth=20.0
     )
 )
+
+
+def _assert_interpreted_profile(profile, program, runs):
+    """``profile`` equals interpreting ``program`` over ``runs``, folded
+    here without the context machinery the pipeline uses."""
+    counts = np.zeros((program.num_blocks, 3), dtype=np.int64)
+    instructions = []
+    for values in runs:
+        result = run_program(program, values)
+        np.add.at(counts, (result.block_ids, result.via), 1)
+        instructions.append(result.instructions)
+    blocks = counts.sum(axis=1)
+    assert profile.program is program
+    assert np.array_equal(profile.block_weights, blocks)
+    assert np.array_equal(profile.taken_weights, counts[:, 1])
+    assert np.array_equal(profile.fall_weights, counts[:, 2])
+    assert profile.run_instructions == instructions
+    assert profile.dynamic_instructions == sum(instructions)
+    assert profile.dynamic_calls == sum(
+        weight for weight, block in zip(blocks, program.blocks)
+        if block.kind is Opcode.CALL
+    )
+    assert profile.control_transfers == sum(
+        weight for weight, block in zip(blocks, program.blocks)
+        if block.kind is Opcode.JMP or block.terminator.is_branch
+    )
 
 
 class TestProgramProperties:
@@ -201,6 +294,34 @@ class TestProgramProperties:
         assert transformed.output == original.output
         assert transformed.state.registers == original.state.registers
         assert transformed.state.memory == original.state.memory
+
+    @given(
+        st.one_of(dag_programs(), context_programs()),
+        policies_strategy,
+        st.lists(inputs_strategy, min_size=1, max_size=3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_context_projection_equals_interpretation(
+        self, program, policy, runs
+    ):
+        profiler = ContextProfiler(program)
+        for values in runs:
+            profiler.record(run_program(program, values))
+        contexts = profiler.finish()
+        pre = contexts.project()
+        _assert_interpreted_profile(pre, program, runs)
+        inlined, report = inline_expand(program, pre, policy)
+        _assert_interpreted_profile(
+            contexts.project(report, inlined), inlined, runs
+        )
+        derived = derive_trace(
+            program, report, BlockTrace.from_execution(
+                run_program(program, runs[0])
+            ),
+        )
+        oracle = run_program(inlined, runs[0])
+        assert np.array_equal(derived.block_ids, oracle.block_ids)
+        assert np.array_equal(derived.via, oracle.via)
 
     @given(dag_programs(), inputs_strategy)
     @settings(max_examples=30, deadline=None)

@@ -61,7 +61,7 @@ def explain(workload: str, store_dir: str | None, geometry=(2048, 64, 1)):
 
 
 def entry_hits(store_dir: str, workload: str) -> int:
-    key = artifact_key(workload, SCALE, PlacementOptions())
+    key = artifact_key(workload, SCALE, PlacementOptions().opt)
     path = os.path.join(store_dir, "objects", key, "meta.json")
     with open(path) as handle:
         return json.load(handle)["hits"]
@@ -126,7 +126,7 @@ def test_quarantined_entry_misses_and_reinterprets(tmp_path):
     store_dir = str(tmp_path)
     expected, _ = explain("cmp", store_dir)
     explain("cmp", store_dir)
-    key = artifact_key("cmp", SCALE, PlacementOptions())
+    key = artifact_key("cmp", SCALE, PlacementOptions().opt)
     arrays = os.path.join(store_dir, "objects", key, "arrays.npz")
     with open(arrays, "r+b") as handle:
         handle.seek(40)

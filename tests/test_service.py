@@ -238,6 +238,21 @@ def test_execute_request_tune_small(tmp_path):
     assert body["detail"]["trials"] == 2
 
 
+@pytest.mark.parametrize("opt", ["none", "dce"])
+def test_receipt_store_keys_are_the_entries_created(tmp_path, opt):
+    """The keys a receipt lists are exactly the entries the request made."""
+    from repro.engine.store import ArtifactStore
+    from repro.service.worker import _store_keys
+
+    request = normalize_request({
+        "kind": "explain", "workload": "cmp", "scale": "small", "opt": opt,
+    })
+    execute_request(request, cache_dir=str(tmp_path))
+    entries = ArtifactStore(str(tmp_path)).entries()
+    assert sorted(_store_keys(request)) == sorted(e.key for e in entries)
+    assert len(entries) == (1 if opt == "none" else 2)
+
+
 # -- HTTP surface ----------------------------------------------------------
 
 
