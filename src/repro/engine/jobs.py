@@ -3,10 +3,9 @@
 Four job kinds cover the whole evaluation:
 
 * ``artifacts`` — build+profile+place+trace one workload at one scale and
-  persist its execution in the artifact store.  With a ``placement``
-  entry in its params (the autotuner's hyperparameter overrides), it
-  places under those tuned :class:`PlacementOptions`; only their
-  middle-end passes key the store entry;
+  persist its execution in the artifact store.  A ``placement`` entry
+  in its params (``{"opt": passes}``, from :func:`table_plan` or the
+  autotuner) names the middle-end passes, which key the store entry;
 * ``table`` — regenerate one experiment table, rehydrating every workload
   it replays from the store (its dependencies guarantee the entries
   exist, so a table job never interprets anything itself);

@@ -2,16 +2,17 @@
 
 The source paper's pipeline is an *optimizing* compiler first and a code
 placer second — IMPACT-I runs classical optimizations before profiles
-drive layout.  This package supplies that missing half: a small pass
-manager (:class:`~repro.opt.passes.PassPipeline`) and five classical
-passes over the mini RISC IR:
+drive layout.  This package supplies that missing half: a pass driver
+(:func:`~repro.opt.passes.run_opt`, configured by the pass list in
+:class:`~repro.opt.passes.OptOptions`) and five classical passes over
+the mini RISC IR:
 
 ``dce``         dead code elimination (global register liveness)
 ``lvn``         local value numbering + constant folding
 ``simplify``    branch folding, jump threading, block dedup/merging,
                 unreachable-block removal
 ``licm``        loop-invariant code motion (dominator/natural-loop based)
-``superblock``  profile-driven trace speculation with tail duplication
+``superblock``  tail duplication along the paper's selected traces
                 (guard / commit / abort semantics)
 
 Every pass consumes and produces a whole :class:`~repro.ir.program

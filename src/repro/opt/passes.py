@@ -1,6 +1,6 @@
 """The pass pipeline: configuration, reports, and the driver.
 
-:class:`OptOptions` is the frozen knob block the placement options embed
+:class:`OptOptions` is the frozen pass list the placement options embed
 (and the part of them that keys an artifact-store entry), and
 :func:`run_opt` is the driver the placement pipeline calls: it threads a
 program through the configured passes in order, wraps each in an obs
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro import obs
 from repro.ir.program import Program
@@ -67,19 +67,12 @@ class OptOptions:
     passes:
         Pass names to run, in order.  Empty (the default) disables the
         middle-end entirely.
-    superblock_min_prob:
-        Minimum branch-direction probability for superblock trace growth.
-    superblock_max_growth:
-        Cap on per-function code growth from tail duplication
-        (1.25 = at most 25% more instructions).
     """
 
     passes: tuple[str, ...] = ()
-    superblock_min_prob: float = 0.8
-    superblock_max_growth: float = 1.25
 
     @classmethod
-    def parse(cls, spec: object, **overrides) -> "OptOptions":
+    def parse(cls, spec: object) -> "OptOptions":
         """Build options from a CLI/service pass spec.
 
         ``None``/``""``/``"none"`` -> no passes; ``"all"`` -> the full
@@ -108,23 +101,18 @@ class OptOptions:
                 f"unknown pass(es) {', '.join(unknown)}; "
                 f"choose from {', '.join(PASS_NAMES)} (or 'all'/'none')"
             )
-        return cls(passes=names, **overrides)
+        return cls(passes=names)
 
     @property
     def spec(self) -> str:
         """Canonical spec string (``"none"`` when disabled)."""
         return ",".join(self.passes) or "none"
 
-    def without_passes(self) -> "OptOptions":
-        """These options with the middle-end disabled."""
-        return replace(self, passes=())
-
 
 @dataclass
 class PassContext:
     """Shared state passes can reach while the pipeline runs."""
 
-    options: OptOptions
     profile_source: Callable[[Program], object] | None = None
     #: Profiles gathered via :meth:`profile`, in request order — the
     #: pipeline persists these so cached runs can replay them.
@@ -193,7 +181,7 @@ def run_opt(
     if not options.passes:
         return program, PipelineReport(), []
     recorder = obs.current()
-    ctx = PassContext(options=options, profile_source=profile_source)
+    ctx = PassContext(profile_source=profile_source)
     reports: list[PassReport] = []
     current = program
     with recorder.span("opt", cat="opt", passes=options.spec):

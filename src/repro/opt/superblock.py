@@ -1,11 +1,14 @@
-"""Profile-driven superblock formation via trace growth + tail duplication.
+"""Profile-driven superblock formation: the paper's traces + tail duplication.
 
-The paper's trace *selection* (Section 3 Step 2) groups blocks for
-layout without changing the code; superblock formation takes the same
-profile signal one step further and restructures the code itself, the
-way IMPACT's successors did: grow a trace along likely branch
-directions, then *tail-duplicate* every trace block that has a side
-entrance so the hot path becomes a single-entry region.
+The paper's trace *selection* (Section 3 Step 3 and the appendix
+``TraceSelection``) groups blocks for layout without changing the code;
+superblock formation takes the same traces one step further and
+restructures the code itself, the way IMPACT did (Hwu et al., "The
+Superblock", J. Supercomputing 1993): every trace
+:func:`~repro.placement.trace_selection.select_traces` returns is
+*tail-duplicated* from its first side entrance on, so the hot path
+becomes a single-entry region.  There is one trace-growth rule in the
+repository, with the appendix's ``MIN_PROB`` on both arc endpoints.
 
 Semantics of the resulting region:
 
@@ -19,18 +22,18 @@ Semantics of the resulting region:
 * **commit** — the last trace block's successors leave the region
   normally.
 
-Growth is bounded: tail duplication may grow a function by at most
-``superblock_max_growth - 1`` of its original size, and traces only
-follow branch directions with probability >= ``superblock_min_prob``.
-A final unreachable-prune + straight-line merge turns each duplicated
-tail into one long block, which is where the layout stage's fall-through
-elision then deletes the intra-trace jumps.
+Traces are duplicated in the order the selector returns them (hottest
+seed first) while tail duplication has grown the function by at most
+``MAX_GROWTH - 1`` of its original size; a trace whose tail would not
+fit is skipped.  A final unreachable-prune + straight-line merge turns
+each duplicated tail into one long block, which is where the layout
+stage's fall-through elision then deletes the intra-trace jumps.
 """
 
 from __future__ import annotations
 
+from repro import obs
 from repro.ir.block import BasicBlock
-from repro.ir.instructions import Opcode
 from repro.ir.function import Function
 from repro.ir.program import Program
 from repro.opt.analysis import (
@@ -40,101 +43,48 @@ from repro.opt.analysis import (
     remove_unreachable,
 )
 from repro.placement.profile_data import ProfileData
+from repro.placement.trace_selection import select_traces
 
-__all__ = ["run_superblock"]
+__all__ = ["MAX_GROWTH", "run_superblock"]
 
-
-def _grow_trace(
-    start: str,
-    by_name: dict[str, BasicBlock],
-    taken_of: dict[str, int],
-    fall_of: dict[str, int],
-    min_prob: float,
-    used: set[str],
-) -> list[str]:
-    trace = [start]
-    in_trace = {start}
-    label = start
-    while True:
-        block = by_name[label]
-        kind = block.kind
-        if kind is Opcode.JMP:
-            nxt = block.taken
-        elif kind is Opcode.CALL:
-            nxt = block.fall
-        elif block.terminator.is_branch:
-            taken, fall = taken_of[label], fall_of[label]
-            total = taken + fall
-            if total == 0:
-                break
-            if taken / total >= min_prob:
-                nxt = block.taken
-            elif fall / total >= min_prob:
-                nxt = block.fall
-            else:
-                break
-        else:                                  # RET / HALT
-            break
-        if nxt is None or nxt in in_trace or nxt in used:
-            break
-        trace.append(nxt)
-        in_trace.add(nxt)
-        label = nxt
-    return trace
+#: Cap on per-function code growth from tail duplication
+#: (1.25 = at most 25% more instructions).
+MAX_GROWTH = 1.25
 
 
 def _duplication_point(
-    trace: list[str],
-    preds: dict[str, list[str]],
-    entry: str,
+    trace: list[str], preds: dict[str, list[str]]
 ) -> int | None:
-    """First trace index needing a clone (side entrance), if any."""
+    """First trace index needing a clone (side entrance), if any.
+
+    The selector never places the function entry (whose caller is an
+    implicit predecessor) after a trace's first block.
+    """
     for index in range(1, len(trace)):
-        label = trace[index]
-        if label == entry:                     # implicit function entry
-            return index
-        if any(pred != trace[index - 1] for pred in preds[label]):
+        if any(pred != trace[index - 1] for pred in preds[trace[index]]):
             return index
     return None
 
 
 def _form_superblocks(
-    function: Function, profile: ProfileData, min_prob: float, max_growth: float
+    function: Function, profile: ProfileData
 ) -> list[BasicBlock]:
-    weight_of = {
-        block.name: int(profile.block_weights[block.bid])
-        for block in function.blocks
-    }
-    taken_of = {
-        block.name: int(profile.taken_weights[block.bid])
-        for block in function.blocks
-    }
-    fall_of = {
-        block.name: int(profile.fall_weights[block.bid])
-        for block in function.blocks
-    }
+    # The selector's Step-3 counters belong to the layout stage.
+    with obs.use(obs.NULL):
+        selection = select_traces(function, profile)
+    name_of = {block.bid: block.name for block in function.blocks}
 
     blocks = [block.clone({}) for block in function.blocks]
-    budget = int((max_growth - 1.0) * function.num_instructions)
-    used: set[str] = set()
+    budget = int((MAX_GROWTH - 1.0) * function.num_instructions)
     counter = 0
-
-    seeds = sorted(
-        range(len(blocks)), key=lambda i: (-weight_of[blocks[i].name], i)
-    )
-    for seed_index in seeds:
-        seed = blocks[seed_index].name
-        if seed in used or weight_of[seed] == 0:
-            continue
-        by_name = {block.name: block for block in blocks}
-        trace = _grow_trace(seed, by_name, taken_of, fall_of, min_prob, used)
-        used.update(trace)
+    for selected in selection.traces:
+        trace = [name_of[bid] for bid in selected.blocks]
         if len(trace) < 2:
             continue
-        preds = predecessors(blocks)
-        point = _duplication_point(trace, preds, blocks[0].name)
+        point = _duplication_point(trace, predecessors(blocks))
         if point is None:
             continue                            # already single-entry
+        by_name = {block.name: block for block in blocks}
         cost = sum(
             by_name[label].num_instructions for label in trace[point:]
         )
@@ -160,22 +110,15 @@ def _form_superblocks(
         if head.fall == trace[point]:
             head.fall = clone_names[trace[point]]
         blocks = blocks + clones
-        used.update(clone_names.values())
 
     return merge_straight_line(remove_unreachable(blocks))
 
 
 def run_superblock(program: Program, ctx) -> Program:
-    """Form superblocks along hot traces, guided by a fresh profile."""
+    """Form superblocks along the selector's traces of a fresh profile."""
     profile = ctx.profile(program)
-    options = ctx.options
     replacements = {
-        function.name: _form_superblocks(
-            function,
-            profile,
-            options.superblock_min_prob,
-            options.superblock_max_growth,
-        )
+        function.name: _form_superblocks(function, profile)
         for function in program
     }
     return rebuild_program(program, replacements)

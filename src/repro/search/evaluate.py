@@ -3,12 +3,12 @@
 One *trial* = one candidate evaluated on one rung's workload list.  A
 trial becomes two layers of engine work:
 
-* ``artifacts:{workload}@{scale}#{pfp}`` — build+profile+place+trace the
-  workload under the candidate's *placement* configuration (``pfp`` is
-  the placement fingerprint).  Candidates that share placement axes
-  share these jobs; candidates that share middle-end passes share one
-  store entry — one interpretation — with each other and with ordinary
-  table runs.
+* ``artifacts:{workload}@{scale}#{opt}`` — interpret the workload under
+  the candidate's middle-end passes (``opt``) and persist that execution.
+  A store entry is keyed by (workload, passes) alone, so candidates that
+  share passes share one job and one interpretation, with each other
+  and with ordinary table runs; each trial places from it under its own
+  placement axes.
 * ``trial:tNNNrR`` — rehydrate those artifacts and replay the trace
   against the candidate's layout and cache geometry.  Pure simulation:
   a trial job executes zero interpreter steps when its artifact
@@ -35,11 +35,7 @@ from repro import obs
 from repro.engine.jobs import JobSpec
 from repro.engine.scheduler import run_jobs
 from repro.search.pareto import pareto_front, per_workload_winners, sensitivity
-from repro.search.space import (
-    SearchSpace,
-    placement_fingerprint,
-    placement_params,
-)
+from repro.search.space import SearchSpace, placement_fingerprint
 from repro.search.strategies import Strategy
 
 __all__ = [
@@ -65,18 +61,19 @@ def tune_plan(
     """The job DAG for one rung: artifact fan-out, then trial jobs.
 
     ``trials`` rows are ``{"trial", "candidate", "fingerprint"}``.
-    Artifact jobs are deduplicated by (workload, placement fingerprint):
-    five candidates that only vary cache geometry share one artifact
-    build per workload.
+    Artifact jobs are deduplicated by (workload, ``opt``), the store key:
+    candidates that differ only in placement or cache axes share one
+    execution per workload.  Their ``placement`` params name the passes
+    only, the shape :func:`repro.engine.jobs.table_plan` emits.
     """
     artifact_specs: dict[str, JobSpec] = {}
     trial_specs: list[JobSpec] = []
     for row in trials:
         candidate = row["candidate"]
-        pfp = placement_fingerprint(candidate)
+        opt = candidate.get("opt", "none")
         deps = []
         for workload in workloads:
-            job_id = f"artifacts:{workload}@{scale}#{pfp}"
+            job_id = f"artifacts:{workload}@{scale}#{opt}"
             if job_id not in artifact_specs:
                 artifact_specs[job_id] = JobSpec(
                     job_id=job_id,
@@ -84,7 +81,7 @@ def tune_plan(
                     params={
                         "workload": workload,
                         "scale": scale,
-                        "placement": placement_params(candidate),
+                        "placement": {"opt": opt},
                     },
                 )
             deps.append(job_id)

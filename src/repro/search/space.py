@@ -41,16 +41,10 @@ __all__ = [
     "integer",
     "placement_fingerprint",
     "placement_options",
-    "placement_params",
     "real",
     "OPT_CHOICES",
-    "PLACEMENT_AXES",
     "LAYOUT_CHOICES",
 ]
-
-#: Axes that feed :class:`PlacementOptions` (of which ``opt`` also keys
-#: the artifact store); the remaining axes only affect simulation.
-PLACEMENT_AXES = ("min_prob", "inline_min_count", "inline_budget", "opt")
 
 #: Middle-end pass configurations the ``opt`` axis can select: nothing
 #: (the paper default), pure clean-up, progressively larger scalar pass
@@ -210,7 +204,8 @@ class SearchSpace:
 def default_space() -> SearchSpace:
     """The full design space ``repro tune`` searches by default.
 
-    Placement axes (these invalidate/share artifact-store entries):
+    Placement axes (each trial re-places under these; only ``opt``
+    keys an artifact-store entry, so only it costs an interpretation):
 
     * ``min_prob`` — the appendix's trace-growth threshold (paper: 0.7);
     * ``inline_min_count`` — dynamic-call floor for inlining a site
@@ -240,13 +235,6 @@ def default_space() -> SearchSpace:
     ))
 
 
-def placement_params(candidate: Mapping) -> dict:
-    """The placement-affecting subset of a candidate, in axis order."""
-    return {
-        name: candidate[name] for name in PLACEMENT_AXES if name in candidate
-    }
-
-
 def placement_options(candidate: Mapping) -> PlacementOptions:
     """Lower a candidate's placement axes into pipeline options.
 
@@ -268,8 +256,9 @@ def placement_fingerprint(candidate: Mapping) -> str:
     """Content address of a candidate's *placement* configuration.
 
     Two candidates differing only in evaluation axes (layout, cache
-    geometry) share this fingerprint — and therefore share artifact
-    jobs and store entries.
+    geometry) share this fingerprint; trial records carry it as
+    ``placement_fp``.  Artifact jobs and store entries are shared more
+    widely, by the ``opt`` axis alone.
     """
     from repro.engine.store import options_fingerprint
 

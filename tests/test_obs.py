@@ -408,6 +408,25 @@ class TestInstrumentation:
         hist = rec.metrics.histogram("trace_length_blocks")
         assert hist.count == counters["traces_selected"]
 
+    def test_table6_step3_counters_count_the_layout_once(self):
+        from repro import experiments
+        from repro.experiments.runner import ExperimentRunner
+
+        rec = Recorder()
+        with obs.use(rec):
+            experiments.table6.run(ExperimentRunner(scale="small", store=None))
+        counters = rec.metrics.counter_values()
+        assert {
+            name: value for name, value in counters.items()
+            if name == "traces_selected" or name.startswith("trace_cutoff_")
+        } == {
+            "traces_selected": 792,
+            "trace_cutoff_already_selected": 102,
+            "trace_cutoff_min_prob": 796,
+            "trace_cutoff_zero_weight": 487,
+        }
+        assert rec.metrics.histogram("trace_length_blocks").count == 792
+
     def test_pipeline_spans_cover_phases(self):
         from repro.experiments.runner import ExperimentRunner
 

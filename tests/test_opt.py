@@ -5,8 +5,8 @@ Four layers of coverage:
 * per-pass golden tests on small hand-built programs (DCE sweeps, LVN
   folds/CSEs, simplify reshapes loops, LICM hoists, superblock clones);
 * the semantics matrix — every registered workload runs byte-identically
-  (OUT stream) through the full pass stack, and the scalar stack shrinks
-  the IR on most of them;
+  (OUT stream) through the full pass stack and through superblock
+  formation alone, and the scalar stack shrinks the IR on most of them;
 * preservation of the repo's defaults — with no passes configured the
   pipeline, the tables, and ``repro explain`` are byte-identical to a
   build without the middle-end, and the store fingerprints only change
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import experiments
+from repro import experiments, obs
 from repro.engine.store import options_fingerprint
 from repro.experiments.runner import ExperimentRunner
 from repro.interp.interpreter import run_program
@@ -31,6 +31,7 @@ from repro.ir.serialize import program_from_dict, program_to_dict
 from repro.ir.validate import ValidationError, validate_optimized
 from repro.opt import ALL_PASSES, OptOptions, PASS_NAMES, run_opt
 from repro.placement.pipeline import PlacementOptions
+from repro.placement.trace_selection import select_traces
 from repro.workloads.registry import get_workload, workload_names
 
 from .conftest import (
@@ -53,14 +54,12 @@ FACTORY_CASES = (
 )
 
 
-def run_passes(program, spec, profiling_inputs=None, **overrides):
+def run_passes(program, spec, profiling_inputs=None):
     """Run a pass spec; wire a profile source when inputs are given."""
     source = None
     if profiling_inputs is not None:
         source = lambda p: profile_program(p, profiling_inputs)
-    return run_opt(
-        program, OptOptions.parse(spec, **overrides), profile_source=source
-    )
+    return run_opt(program, OptOptions.parse(spec), profile_source=source)
 
 
 class TestOptOptions:
@@ -277,8 +276,7 @@ class TestSuperblock:
         program = self.build_join_loop()
         inputs = [[1, 2, 3, 4, 5, -1], [6, 7, 8, -1]]
         optimized, _, _ = run_passes(
-            program, "superblock", profiling_inputs=inputs,
-            superblock_min_prob=0.6,
+            program, "superblock", profiling_inputs=inputs
         )
         # The join block is tail-duplicated into the hot pos-arm trace
         # (then spliced into it by straight-line merging): the hot arm
@@ -291,6 +289,69 @@ class TestSuperblock:
         for trace in ([2, 4, -3, 5, -1], [-2, -1], []):
             assert (run_program(optimized, trace + [-1], MAX_STEPS).output
                     == run_program(program, trace + [-1], MAX_STEPS).output)
+
+    @pytest.mark.parametrize("name", ("join_loop", "make", "cccp", "yacc"))
+    def test_clones_are_suffixes_of_selected_traces(self, name, monkeypatch):
+        # Keep the clones as blocks of their own (no straight-line
+        # merge), so each one's name still carries its origin label.
+        monkeypatch.setattr(
+            "repro.opt.superblock.merge_straight_line", lambda blocks: blocks
+        )
+        if name == "join_loop":
+            program = self.build_join_loop()
+            inputs = [[1, 2, 3, 4, 5, -1], [6, 7, 8, -1]]
+        else:
+            wl = get_workload(name)
+            program, inputs = wl.build(), wl.profiling_inputs("small")
+        optimized, _, _ = run_passes(
+            program, "superblock", profiling_inputs=inputs
+        )
+        profile = profile_program(program, inputs)
+        cloned = 0
+        for function in program:
+            origins = {
+                block.name.split("__", 2)[2]
+                for block in optimized.function(function.name).blocks
+                if block.name.startswith("__sb")
+            }
+            cloned += len(origins)
+            name_of = {block.bid: block.name for block in function.blocks}
+            for trace in select_traces(function, profile).traces:
+                labels = [name_of[bid] for bid in trace.blocks]
+                tail = [label for label in labels if label in origins]
+                assert tail == labels[len(labels) - len(tail):]
+                origins.difference_update(tail)
+            assert not origins
+        assert cloned > 0
+
+    def test_selector_counters_stay_with_the_layout_stage(self):
+        from repro.obs import Recorder
+
+        wl = get_workload("wc")
+        recorder = Recorder()
+        with obs.use(recorder):
+            run_passes(
+                wl.build(), "superblock",
+                profiling_inputs=wl.profiling_inputs("small"),
+            )
+        counters = recorder.metrics.counter_values()
+        assert not {
+            name for name in counters
+            if name == "traces_selected" or name.startswith("trace_cutoff_")
+        }
+        assert recorder.metrics.histogram("trace_length_blocks").count == 0
+
+        recorder = Recorder()
+        with obs.use(recorder):
+            art = ExperimentRunner(
+                scale="small",
+                options=PlacementOptions.tuned(opt_passes="superblock"),
+                store=None,
+            ).artifacts("wc")
+        assert recorder.metrics.counter_values()["traces_selected"] == sum(
+            len(selection.traces)
+            for selection in art.placement.selections.values()
+        )
 
     def test_requires_a_profile_source(self):
         with pytest.raises(RuntimeError):
@@ -339,6 +400,19 @@ class TestWorkloadMatrix:
         program = wl.build()
         optimized, report, _ = run_passes(
             program, "all", profiling_inputs=wl.profiling_inputs("small"),
+        )
+        validate_optimized(optimized)
+        trace = wl.trace_input("small")
+        assert (run_program(optimized, trace, MAX_STEPS).output
+                == run_program(program, trace, MAX_STEPS).output)
+
+    @pytest.mark.parametrize("name", ALL_WORKLOADS)
+    def test_superblock_alone_preserves_out_stream(self, name):
+        wl = get_workload(name)
+        program = wl.build()
+        optimized, _, _ = run_passes(
+            program, "superblock",
+            profiling_inputs=wl.profiling_inputs("small"),
         )
         validate_optimized(optimized)
         trace = wl.trace_input("small")

@@ -6,8 +6,9 @@ Two generators drive these:
   against each other and against textbook cache properties;
 * random terminating IR programs (block- and call-DAGs, so execution
   provably halts, plus bounded recursion and syscalls behind them) —
-  differential testing of the inliner, the context-profile projection,
-  the placement pipeline, and the linker/expansion machinery.
+  differential testing of the middle-end passes, the inliner, the
+  context-profile projection, the placement pipeline, and the
+  linker/expansion machinery.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from repro.interp.profiler import profile_program
 from repro.interp.trace import BlockTrace
 from repro.ir.builder import ProgramBuilder
 from repro.ir.instructions import Opcode
-from repro.ir.validate import validate_program
+from repro.ir.validate import validate_optimized, validate_program
+from repro.opt import OptOptions, PASS_NAMES, run_opt
 from repro.placement.contexts import ContextProfiler, derive_trace
 from repro.placement.image import MemoryImage
 from repro.placement.inline import InlinePolicy, inline_expand
@@ -322,6 +324,23 @@ class TestProgramProperties:
         oracle = run_program(inlined, runs[0])
         assert np.array_equal(derived.block_ids, oracle.block_ids)
         assert np.array_equal(derived.via, oracle.via)
+
+    @given(
+        st.one_of(dag_programs(), context_programs()),
+        st.lists(inputs_strategy, min_size=1, max_size=3),
+        inputs_strategy,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_every_pass_preserves_out(self, program, runs, unprofiled):
+        for spec in PASS_NAMES + ("all",):
+            optimized, _, _ = run_opt(
+                program, OptOptions.parse(spec),
+                profile_source=lambda p: profile_program(p, runs),
+            )
+            validate_optimized(optimized)
+            for values in runs + [unprofiled]:
+                assert (run_program(optimized, values).output
+                        == run_program(program, values).output), spec
 
     @given(dag_programs(), inputs_strategy)
     @settings(max_examples=30, deadline=None)

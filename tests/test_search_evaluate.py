@@ -52,19 +52,33 @@ class TestTunePlan:
         assert trial_specs[0].deps == trial_specs[1].deps
         assert all("placement" in s.params for s in artifact_specs)
 
-    def test_distinct_placement_gets_distinct_artifacts(self):
+    def test_artifact_jobs_split_on_opt_only(self):
+        # Store entries are executions keyed by (workload, passes): a
+        # min_prob change re-places from the same execution, a pass
+        # change needs an execution of its own.
         space = default_space()
         default = space.default_candidate()
-        tuned = {**default, "min_prob": 0.9}
+        candidates = [
+            default,
+            {**default, "min_prob": 0.9},
+            {**default, "opt": "dce"},
+            {**default, "opt": "dce", "min_prob": 0.5},
+        ]
         trials = [
-            {"trial": 0, "candidate": default,
-             "fingerprint": space.fingerprint(default)},
-            {"trial": 1, "candidate": tuned,
-             "fingerprint": space.fingerprint(tuned)},
+            {"trial": index, "candidate": candidate,
+             "fingerprint": space.fingerprint(candidate)}
+            for index, candidate in enumerate(candidates)
         ]
         specs = tune_plan(trials, rung=0, workloads=WORKLOADS, scale="small")
         artifact_specs = [s for s in specs if s.kind == "artifacts"]
+        trial_specs = [s for s in specs if s.kind == "trial"]
         assert len(artifact_specs) == 2 * len(WORKLOADS)
+        assert trial_specs[0].deps == trial_specs[1].deps
+        assert trial_specs[2].deps == trial_specs[3].deps
+        assert not set(trial_specs[0].deps) & set(trial_specs[2].deps)
+        assert sorted(s.params["placement"]["opt"] for s in artifact_specs) == (
+            ["dce"] * len(WORKLOADS) + ["none"] * len(WORKLOADS)
+        )
 
     def test_trial_job_ids_encode_trial_and_rung(self):
         assert trial_job_id(3, 1) == "trial:t003r1"

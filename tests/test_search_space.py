@@ -17,7 +17,6 @@ from repro.search.space import (
     integer,
     placement_fingerprint,
     placement_options,
-    placement_params,
     real,
 )
 
@@ -138,13 +137,6 @@ class TestPlacementLowering:
         assert options.min_prob == 0.9
         assert options.inline.min_call_count == 125
         assert options.inline.max_code_growth == 2.0
-
-    def test_placement_params_subset(self):
-        candidate = default_space().default_candidate()
-        params = placement_params(candidate)
-        assert set(params) == {
-            "min_prob", "inline_min_count", "inline_budget", "opt",
-        }
 
     def test_placement_fingerprint_ignores_evaluation_axes(self):
         default = default_space().default_candidate()
