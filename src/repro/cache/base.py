@@ -18,7 +18,6 @@ from repro import diagnose, obs
 
 __all__ = [
     "CacheStats",
-    "MissSampler",
     "cache_sets",
     "emit_cache_sim",
     "new_probe",
@@ -88,32 +87,6 @@ def cache_sets(cache_bytes: int, block_bytes: int, assoc: int) -> int:
     return num_blocks // assoc
 
 
-class MissSampler:
-    """A bounded, deterministically-decimated sample of the miss stream.
-
-    Keeps every ``stride``-th offered address; when the sample fills,
-    it is thinned to every other element and the stride doubles, so the
-    retained addresses stay spread across the whole run.  No randomness:
-    two identical simulations sample identically.
-    """
-
-    __slots__ = ("cap", "samples", "_stride", "_seen")
-
-    def __init__(self, cap: int = 256) -> None:
-        self.cap = cap
-        self.samples: list[int] = []
-        self._stride = 1
-        self._seen = 0
-
-    def offer(self, address: int) -> None:
-        if self._seen % self._stride == 0:
-            self.samples.append(int(address))
-            if len(self.samples) >= self.cap:
-                self.samples = self.samples[::2]
-                self._stride *= 2
-        self._seen += 1
-
-
 def top_sets(set_misses, n: int = 8) -> list[tuple[int, int]]:
     """The ``n`` cache sets with the most misses: ``(set_index, misses)``.
 
@@ -153,7 +126,6 @@ def emit_cache_sim(
     block_bytes: int,
     organization: str,
     set_misses=None,
-    sampler: MissSampler | None = None,
     addresses=None,
     probe=None,
 ) -> None:
@@ -184,8 +156,6 @@ def emit_cache_sim(
     }
     if set_misses is not None:
         fields["top_sets"] = top_sets(set_misses)
-    if sampler is not None and sampler.samples:
-        fields["miss_samples"] = sampler.samples
     recorder.event("cache_sim", **fields)
     recorder.count("cache_sims", 1)
     recorder.count("cache_sim_accesses", stats.accesses)

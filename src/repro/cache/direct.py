@@ -15,7 +15,6 @@ from repro import obs
 from repro.cache.base import (
     BUS_WORD_BYTES,
     CacheStats,
-    MissSampler,
     emit_cache_sim,
     new_probe,
     require_power_of_two,
@@ -75,7 +74,6 @@ def simulate_direct(
     tags = cache._tags
     set_misses = cache.set_misses
     recorder = obs.current()
-    sampler = MissSampler() if recorder.enabled else None
     probe = new_probe(block_bytes, cache_bytes)
     seen: list[int] | None = [] if probe is not None else None
     accesses = 0
@@ -90,8 +88,6 @@ def simulate_direct(
             tags[index] = block
             misses += 1
             set_misses[index] += 1
-            if sampler is not None:
-                sampler.offer(address)
         if seen is not None:
             seen.append(address)
     cache.accesses = accesses
@@ -100,7 +96,6 @@ def simulate_direct(
     if recorder.enabled or probe is not None:
         emit_cache_sim(
             stats, cache_bytes, block_bytes, "direct",
-            set_misses=set_misses, sampler=sampler,
-            addresses=seen, probe=probe,
+            set_misses=set_misses, addresses=seen, probe=probe,
         )
     return stats

@@ -29,7 +29,6 @@ from repro import obs
 from repro.cache.base import (
     BUS_WORD_BYTES,
     CacheStats,
-    MissSampler,
     emit_cache_sim,
     new_probe,
     require_power_of_two,
@@ -60,7 +59,6 @@ def simulate_partial(
     set_misses = [0] * num_sets
 
     recorder = obs.current()
-    sampler = MissSampler() if recorder.enabled else None
     # The fill unit is a 4-byte word, so the 3C shadow is a fully
     # associative word cache of the same capacity; a block repurpose
     # evicts the old tag (scaled to its first word's granule number).
@@ -84,8 +82,6 @@ def simulate_partial(
         misses += 1
         miss_positions.append(position)
         set_misses[index] += 1
-        if sampler is not None:
-            sampler.offer(address)
         if tags[index] != block:
             if probe is not None:
                 evicted = tags[index]
@@ -120,8 +116,7 @@ def simulate_partial(
     if recorder.enabled or probe is not None:
         emit_cache_sim(
             stats, cache_bytes, block_bytes, "partial",
-            set_misses=set_misses, sampler=sampler,
-            addresses=addresses, probe=probe,
+            set_misses=set_misses, addresses=addresses, probe=probe,
         )
     return stats
 

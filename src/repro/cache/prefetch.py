@@ -28,7 +28,6 @@ from repro import obs
 from repro.cache.base import (
     BUS_WORD_BYTES,
     CacheStats,
-    MissSampler,
     emit_cache_sim,
     new_probe,
     require_power_of_two,
@@ -95,7 +94,6 @@ def simulate_prefetch(
     set_misses = [0] * num_sets
 
     recorder = obs.current()
-    sampler = MissSampler() if recorder.enabled else None
     # 3C applies to the demand-miss stream; the shadow has no prefetcher,
     # so "conflict" here is a demand miss a fully-associative non-
     # prefetching cache of the same size would have hit.
@@ -131,8 +129,6 @@ def simulate_prefetch(
             continue
         demand_misses += 1
         set_misses[index] += 1
-        if sampler is not None:
-            sampler.offer(address)
         if probe is not None:
             probe.miss(position, tags[index])
         transferred += words_per_block
@@ -159,7 +155,6 @@ def simulate_prefetch(
                 },
             ),
             cache_bytes, block_bytes, f"prefetch/{policy}",
-            set_misses=set_misses, sampler=sampler,
-            addresses=addresses, probe=probe,
+            set_misses=set_misses, addresses=addresses, probe=probe,
         )
     return stats

@@ -20,7 +20,6 @@ from repro import obs
 from repro.cache.base import (
     BUS_WORD_BYTES,
     CacheStats,
-    MissSampler,
     emit_cache_sim,
     new_probe,
     require_power_of_two,
@@ -60,7 +59,6 @@ def simulate_sectored(
     set_misses = [0] * num_sets
 
     recorder = obs.current()
-    sampler = MissSampler() if recorder.enabled else None
     # The fill unit is a sector, so the 3C shadow is a fully-associative
     # sector cache of the same capacity; the evictor of a *block* miss is
     # the displaced tag, scaled to its first sector's granule number.
@@ -90,8 +88,6 @@ def simulate_sectored(
             valid[index] = bit
         misses += 1
         set_misses[index] += 1
-        if sampler is not None:
-            sampler.offer(address)
 
     stats = CacheStats(
         accesses=len(addresses),
@@ -101,7 +97,6 @@ def simulate_sectored(
     if recorder.enabled or probe is not None:
         emit_cache_sim(
             stats, cache_bytes, block_bytes, f"sectored/{sector_bytes}B",
-            set_misses=set_misses, sampler=sampler,
-            addresses=addresses, probe=probe,
+            set_misses=set_misses, addresses=addresses, probe=probe,
         )
     return stats

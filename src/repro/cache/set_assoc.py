@@ -16,7 +16,6 @@ from repro import obs
 from repro.cache.base import (
     BUS_WORD_BYTES,
     CacheStats,
-    MissSampler,
     cache_sets,
     emit_cache_sim,
     new_probe,
@@ -57,15 +56,9 @@ def simulate_set_associative(
     set_misses = np.bincount(
         blocks[positions] & (num_sets - 1), minlength=num_sets
     ).tolist()
-    sampler = None
-    if recorder.enabled:
-        sampler = MissSampler()
-        for address in addresses[positions].tolist():
-            sampler.offer(address)
     emit_cache_sim(
         stats, cache_bytes, block_bytes, f"{associativity}-way",
-        set_misses=set_misses, sampler=sampler,
-        addresses=addresses, probe=probe,
+        set_misses=set_misses, addresses=addresses, probe=probe,
     )
     return stats
 

@@ -19,7 +19,6 @@ from repro import obs
 from repro.cache.base import (
     BUS_WORD_BYTES,
     CacheStats,
-    MissSampler,
     emit_cache_sim,
     new_probe,
     require_power_of_two,
@@ -73,19 +72,15 @@ def simulate_direct_vectorized(
     recorder = obs.current()
     probe = new_probe(block_bytes, cache_bytes)
     if recorder.enabled or probe is not None:
-        # Per-set conflict counts and a decimated miss-address sample,
-        # computed only when a recorder or collector is attached.
+        # Per-set conflict counts, computed only when a recorder or
+        # collector is attached.
         num_sets = cache_bytes // block_bytes
         block_shift = block_bytes.bit_length() - 1
         addresses = np.asarray(addresses, dtype=np.int64)
-        miss_addresses = addresses[miss]
         set_misses = np.bincount(
-            (miss_addresses >> block_shift) & (num_sets - 1),
+            (addresses[miss] >> block_shift) & (num_sets - 1),
             minlength=num_sets,
         )
-        sampler = MissSampler()
-        for address in miss_addresses[:: max(1, len(miss_addresses) // 256)]:
-            sampler.offer(int(address))
         if probe is not None and len(addresses):
             # Evictor of a missing access = the block the previous access
             # to the same set installed (-1 on a cold set).  In the
@@ -103,7 +98,6 @@ def simulate_direct_vectorized(
             probe.evictors = evictors[miss].tolist()
         emit_cache_sim(
             stats, cache_bytes, block_bytes, "direct-vectorized",
-            set_misses=set_misses, sampler=sampler,
-            addresses=addresses, probe=probe,
+            set_misses=set_misses, addresses=addresses, probe=probe,
         )
     return stats

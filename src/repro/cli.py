@@ -77,10 +77,7 @@ Commands
     directory's entry count and size.  ``gc --max-bytes N`` shrinks the
     cache to a byte budget: quarantined entries count against the
     budget and are evicted first, then live entries go least-recently-
-    used first; stale in-flight markers are swept as a side effect.
-    ``gc --stale-after S`` sweeps orphaned in-flight claim markers
-    older than ``S`` seconds (crashed claimants) without touching
-    entries; the two flags compose.
+    used first.
 ``serve``
     Run the experiment service: a long-lived HTTP daemon that accepts
     ``table`` / ``tune`` / ``explain`` requests from many concurrent
@@ -312,15 +309,10 @@ def build_parser() -> argparse.ArgumentParser:
     cache_gc = cache_sub.add_parser(
         "gc", help="evict down to a byte budget (LRU, quarantine first)"
     )
-    cache_gc.add_argument("--max-bytes", type=int, default=None,
+    cache_gc.add_argument("--max-bytes", type=int, required=True,
                           metavar="N",
                           help="target total size; quarantined entries "
                                "are evicted first, then LRU entries")
-    cache_gc.add_argument("--stale-after", type=float, default=None,
-                          metavar="SECONDS",
-                          help="sweep in-flight claim markers older than "
-                               "this (crashed claimants); does not touch "
-                               "entries")
     _add_cache_arguments(cache_gc)
 
     serve = sub.add_parser(
@@ -946,31 +938,15 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         print(f"removed {removed} cached entr"
               f"{'y' if removed == 1 else 'ies'} from {store.root}")
     elif args.cache_command == "gc":
-        if args.max_bytes is None and args.stale_after is None:
-            print("repro cache gc: give --max-bytes and/or --stale-after",
-                  file=sys.stderr)
-            return 2
-        if args.max_bytes is not None and args.max_bytes < 0:
+        if args.max_bytes < 0:
             print("repro cache gc: --max-bytes must be >= 0",
                   file=sys.stderr)
             return 2
-        if args.stale_after is not None and args.stale_after < 0:
-            print("repro cache gc: --stale-after must be >= 0",
-                  file=sys.stderr)
-            return 2
-        if args.stale_after is not None:
-            swept = store.sweep_inflight(args.stale_after)
-            print(f"gc {store.root}: swept {swept} stale in-flight "
-                  f"marker{'' if swept == 1 else 's'} "
-                  f"(older than {args.stale_after:g}s or dead owner)")
-        if args.max_bytes is not None:
-            report = store.gc(args.max_bytes)
-            print(f"gc {store.root}: {report['bytes_before']} -> "
-                  f"{report['bytes_after']} bytes "
-                  f"(budget {args.max_bytes})")
-            print(f"  quarantine removed: {report['quarantine_removed']}")
-            print(f"  entries evicted:    {report['evicted']}")
-            print(f"  markers swept:      {report['markers_swept']}")
+        report = store.gc(args.max_bytes)
+        print(f"gc {store.root}: {report['bytes_before']} -> "
+              f"{report['bytes_after']} bytes (budget {args.max_bytes})")
+        print(f"  quarantine removed: {report['quarantine_removed']}")
+        print(f"  entries evicted:    {report['evicted']}")
     else:  # pragma: no cover - subparser enforces the choice
         raise AssertionError(args.cache_command)
     return 0

@@ -19,6 +19,7 @@ as one directory per key::
     <root>/quarantine/<key>[...]         entries that failed verification
     <root>/index.json                    summary of all entries (derived)
     <root>/.lock                         inter-process flock
+    <root>/inflight/<key>                per-key compute flock
 
 Integrity and concurrency guarantees:
 
@@ -41,16 +42,14 @@ entries are evicted once the store exceeds ``REPRO_CACHE_MAX_BYTES``
 the store to an explicit budget on demand, counting quarantined entries
 against the budget and evicting them first.
 
-Duplicate-work suppression: a computation about to produce entry ``key``
-first calls :meth:`ArtifactStore.claim`, which atomically creates an
-*in-flight marker* under ``<root>/inflight/``.  A second process (or a
-second daemon request) that loses the claim race calls
-:meth:`ArtifactStore.wait_for` and blocks until the winner publishes,
-so concurrent submissions of the same configuration execute once and
-share the result.  Markers carry the owner's pid and creation time; a
-marker whose owner is dead or older than ``REPRO_INFLIGHT_STALE_S``
-(default 900 s) is reclaimed, so a crashed publisher can never wedge
-its waiters — they fall back to computing.
+Duplicate-work suppression: a computation of entry ``key`` runs inside
+:meth:`ArtifactStore.computing`, which holds an exclusive ``flock`` on
+``<root>/inflight/<key>``.  A second process (or a second daemon
+request) building the same key waits on that lock and, once the holder
+publishes, shares its entry instead of computing a duplicate.  The
+kernel releases a ``flock`` when its holder dies, so a crashed builder
+never wedges its waiters; a live holder that never finishes is waited
+out after ``WAIT_LIMIT_S`` and the waiter computes anyway.
 """
 
 from __future__ import annotations
@@ -62,6 +61,7 @@ import io
 import json
 import os
 import shutil
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -94,9 +94,12 @@ INDEX_FORMAT = "repro-index-v1"
 #: Default eviction threshold, overridable via ``REPRO_CACHE_MAX_BYTES``.
 DEFAULT_MAX_BYTES = 4 * 1024**3
 
-#: Age past which an in-flight marker is presumed abandoned, overridable
-#: via ``REPRO_INFLIGHT_STALE_S``.
-DEFAULT_INFLIGHT_STALE_S = 900.0
+#: How long :meth:`ArtifactStore.computing` waits on another builder's
+#: key lock before computing anyway (a wedged live holder).
+WAIT_LIMIT_S = 900.0
+
+#: Poll interval of a builder waiting on another's key lock.
+_POLL_S = 0.05
 
 #: Source packages whose content defines the artifact code version.
 _VERSIONED_PACKAGES = ("ir", "interp", "opt", "placement", "workloads")
@@ -191,6 +194,46 @@ class _EntryCorrupt(Exception):
     """Internal: an entry exists on disk but failed verification."""
 
 
+#: Descriptors of the store locks this process holds.  A forked child
+#: closes its copies at once: they share the parent's ``flock``, so a
+#: long-lived child (a pool worker) would otherwise keep every lock held
+#: at the fork after the parent releases it.  ``_held_guard`` keeps a
+#: fork from landing between an open and its registration.
+_held_fds: set[int] = set()
+_held_guard = threading.Lock()
+
+
+def _open_held(path: str) -> int:
+    with _held_guard:
+        fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o644)
+        _held_fds.add(fd)
+    return fd
+
+
+def _close_held(fd: int) -> None:
+    with _held_guard:
+        _held_fds.discard(fd)
+        os.close(fd)     # closing releases the flock
+
+
+def _close_held_in_child() -> None:
+    for fd in _held_fds:
+        try:
+            os.close(fd)
+        except OSError:
+            pass
+    _held_fds.clear()
+    _held_guard.release()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(
+        before=_held_guard.acquire,
+        after_in_parent=_held_guard.release,
+        after_in_child=_close_held_in_child,
+    )
+
+
 class ArtifactStore:
     """A content-addressed, LRU-evicted, integrity-checked artifact cache.
 
@@ -208,13 +251,10 @@ class ArtifactStore:
                 os.environ.get("REPRO_CACHE_MAX_BYTES", DEFAULT_MAX_BYTES)
             )
         self.max_bytes = max_bytes
-        self.inflight_stale_s = float(
-            os.environ.get("REPRO_INFLIGHT_STALE_S", DEFAULT_INFLIGHT_STALE_S)
-        )
         self.hits = 0
         self.misses = 0
         self.quarantined = 0
-        self.waits = 0        # lookups satisfied by waiting on a claimant
+        self.waits = 0        # builds satisfied by another builder's publish
 
     # -- paths -------------------------------------------------------------
 
@@ -233,9 +273,6 @@ class ArtifactStore:
     def _entry_dir(self, key: str) -> str:
         return os.path.join(self.objects_dir, key)
 
-    def _marker_path(self, key: str) -> str:
-        return os.path.join(self.inflight_dir, key)
-
     # -- locking -----------------------------------------------------------
 
     @contextlib.contextmanager
@@ -249,21 +286,90 @@ class ArtifactStore:
         quarantine are single atomic renames, so a reader sees either a
         complete entry or a miss.
         """
-        if fcntl is None:
-            yield
-            return
-        handle = None
-        try:
-            os.makedirs(self.root, exist_ok=True)
-            handle = open(os.path.join(self.root, ".lock"), "a+")
-            fcntl.flock(handle, fcntl.LOCK_EX)
-        except OSError:
-            handle = None
+        fd = None
+        if fcntl is not None:
+            try:
+                os.makedirs(self.root, exist_ok=True)
+                fd = _open_held(os.path.join(self.root, ".lock"))
+                fcntl.flock(fd, fcntl.LOCK_EX)
+            except OSError:
+                if fd is not None:
+                    _close_held(fd)
+                fd = None
         try:
             yield
         finally:
-            if handle is not None:
-                handle.close()   # closing releases the flock
+            if fd is not None:
+                _close_held(fd)
+
+    @contextlib.contextmanager
+    def computing(self, key: str):
+        """Hold ``key``'s compute lock around a build of it.
+
+        Yields ``None`` when the caller must compute the entry (and
+        :meth:`put` it inside the block), or the payload another builder
+        published while this one waited — counted in ``waits``.  A
+        contended lock is polled every 50 ms; past ``WAIT_LIMIT_S`` (a
+        wedged live holder) the caller computes anyway, unlocked, as it
+        does on a read-only store.  The holder unlinks the lock file
+        before releasing it, so ``inflight/`` holds only running builds.
+        """
+        fd, payload = self._lock_key(key)
+        try:
+            if fd is not None:
+                payload = self._published(key)   # published before we locked
+            yield payload
+        finally:
+            if fd is not None:
+                try:
+                    os.unlink(os.path.join(self.inflight_dir, key))
+                except OSError:
+                    pass
+                _close_held(fd)
+
+    def _lock_key(self, key: str) -> tuple[int | None, ArtifactPayload | None]:
+        """Poll for ``key``'s lock: ``(fd, None)`` once held, ``(None,
+        payload)`` when another builder publishes first, ``(None, None)``
+        to compute unlocked."""
+        if fcntl is None:
+            return None, None
+        path = os.path.join(self.inflight_dir, key)
+        deadline = time.monotonic() + WAIT_LIMIT_S
+        fd = None
+        while True:
+            try:
+                if fd is None:
+                    os.makedirs(self.inflight_dir, exist_ok=True)
+                    fd = _open_held(path)
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                payload = self._published(key)
+                if payload is not None or time.monotonic() >= deadline:
+                    _close_held(fd)
+                    return None, payload
+                time.sleep(_POLL_S)
+                continue
+            except OSError:
+                if fd is not None:
+                    _close_held(fd)
+                return None, None
+            try:
+                if os.path.samestat(os.fstat(fd), os.stat(path)):
+                    return fd, None
+            except OSError:
+                pass
+            # The previous holder unlinked this file as it released it:
+            # lock whatever file the path names now.
+            _close_held(fd)
+            fd = None
+
+    def _published(self, key: str) -> ArtifactPayload | None:
+        if key not in self:
+            return None
+        payload = self.get(key)
+        if payload is not None:
+            self.waits += 1
+        return payload
 
     # -- lookup ------------------------------------------------------------
 
@@ -405,143 +511,7 @@ class ArtifactStore:
             shutil.rmtree(stage, ignore_errors=True)
             return False
 
-    # -- in-flight coordination --------------------------------------------
-
-    def _read_marker(self, key: str) -> dict | None:
-        try:
-            with open(self._marker_path(key)) as handle:
-                return json.load(handle)
-        except (OSError, json.JSONDecodeError, ValueError):
-            return None
-
-    @staticmethod
-    def _owner_alive(marker: dict) -> bool:
-        pid = marker.get("pid")
-        if not isinstance(pid, int) or pid <= 0:
-            return False
-        try:
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            return False
-        except OSError:
-            pass               # e.g. EPERM: someone else's live process
-        return True
-
-    def _marker_stale(self, marker: dict | None) -> bool:
-        if marker is None:
-            return True
-        age = time.time() - float(marker.get("created", 0.0))
-        return age > self.inflight_stale_s or not self._owner_alive(marker)
-
-    def claim(self, key: str) -> bool:
-        """Atomically become the computer of ``key``.
-
-        Returns ``True`` when this process now owns the in-flight marker
-        (it must :meth:`release` after publishing, success or not) and
-        ``False`` when another live process already holds a fresh claim
-        — the caller should :meth:`wait_for` the publish instead of
-        duplicating the computation.  A marker left by a dead or stalled
-        owner is reclaimed.  Degrades to ``True`` (compute locally) on a
-        read-only store.
-        """
-        if key in self:
-            return False       # already published: nothing to compute
-        with self._lock():
-            if key in self:    # published while we waited on the lock
-                return False
-            path = self._marker_path(key)
-            marker = {"pid": os.getpid(), "created": time.time()}
-            try:
-                os.makedirs(self.inflight_dir, exist_ok=True)
-                handle = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL)
-            except FileExistsError:
-                if not self._marker_stale(self._read_marker(key)):
-                    return False
-                # Abandoned claim (dead owner or past the staleness
-                # horizon): take it over in place, still under the lock.
-                try:
-                    self._write_json(path, marker)
-                except OSError:
-                    return True
-                return True
-            except OSError:
-                return True    # read-only store: just compute locally
-            with os.fdopen(handle, "w") as out:
-                json.dump(marker, out)
-            return True
-
-    def release(self, key: str) -> None:
-        """Drop this process's in-flight marker (best-effort)."""
-        try:
-            os.unlink(self._marker_path(key))
-        except OSError:
-            pass
-
-    def in_flight(self, key: str) -> bool:
-        """Is a live claimant currently computing ``key``?"""
-        return not self._marker_stale(self._read_marker(key))
-
-    def wait_for(
-        self, key: str, timeout: float | None = None, poll_s: float = 0.05
-    ) -> ArtifactPayload | None:
-        """Block until a concurrent claimant publishes ``key``.
-
-        Returns the published payload, or ``None`` if the claimant
-        vanished without publishing (its marker disappeared or went
-        stale) or ``timeout`` elapsed — the caller then computes the
-        entry itself.  Successful waits count in ``self.waits``.
-        """
-        if timeout is None:
-            timeout = self.inflight_stale_s
-        deadline = time.monotonic() + timeout
-        while True:
-            if key in self:
-                payload = self.get(key)
-                if payload is not None:
-                    self.waits += 1
-                return payload
-            if not self.in_flight(key) or time.monotonic() >= deadline:
-                return None
-            time.sleep(poll_s)
-
     # -- maintenance -------------------------------------------------------
-
-    def sweep_inflight(self, stale_after: float | None = None) -> int:
-        """Remove stale in-flight claim markers; returns how many.
-
-        A marker is stale when its owner process is dead or it is older
-        than ``stale_after`` seconds (default: the store's
-        ``REPRO_INFLIGHT_STALE_S`` horizon).  Crashed daemons and
-        ``kill -9``'d workers leave these behind; live waiters already
-        treat them as reclaimable, but sweeping keeps ``inflight/`` from
-        accumulating corpses (``repro cache gc --stale-after`` and the
-        service's startup recovery both call this).
-        """
-        with self._lock():
-            return self._sweep_inflight_locked(stale_after)
-
-    def _sweep_inflight_locked(self, stale_after: float | None = None) -> int:
-        horizon = self.inflight_stale_s if stale_after is None else stale_after
-        swept = 0
-        try:
-            names = sorted(os.listdir(self.inflight_dir))
-        except OSError:
-            return 0
-        now = time.time()
-        for name in names:
-            marker = self._read_marker(name)
-            if marker is None:
-                stale = True
-            else:
-                age = now - float(marker.get("created", 0.0))
-                stale = age > horizon or not self._owner_alive(marker)
-            if stale:
-                try:
-                    os.unlink(self._marker_path(name))
-                    swept += 1
-                except OSError:
-                    pass
-        return swept
 
     def entries(self) -> list[StoreEntry]:
         """Scan the object directory (the source of truth, not the index)."""
@@ -606,23 +576,7 @@ class ArtifactStore:
         the durable signal that something is corrupting the store.
         """
         entries = self.entries()
-        quarantine_entries = 0
-        quarantine_bytes = 0
-        try:
-            names = os.listdir(self.quarantine_dir)
-        except OSError:
-            names = []
-        for name in names:
-            quarantine_entries += 1
-            path = os.path.join(self.quarantine_dir, name)
-            for dirpath, _dirnames, filenames in os.walk(path):
-                for filename in filenames:
-                    try:
-                        quarantine_bytes += os.path.getsize(
-                            os.path.join(dirpath, filename)
-                        )
-                    except OSError:
-                        continue
+        quarantine = self._quarantine_sizes()
         return {
             "root": self.root,
             "entries": len(entries),
@@ -631,8 +585,8 @@ class ArtifactStore:
             "session_hits": self.hits,
             "session_misses": self.misses,
             "session_quarantined": self.quarantined,
-            "quarantine_entries": quarantine_entries,
-            "quarantine_bytes": quarantine_bytes,
+            "quarantine_entries": len(quarantine),
+            "quarantine_bytes": sum(size for _m, _n, size in quarantine),
         }
 
     def clear(self) -> int:
@@ -645,54 +599,19 @@ class ArtifactStore:
             self._write_index_locked()
         return removed
 
-    def prune(
-        self, max_bytes: int | None = None, max_entries: int | None = None
-    ) -> int:
-        """Evict least-recently-used entries beyond the given limits."""
-        with self._lock():
-            return self._prune_locked(max_bytes, max_entries)
-
     def gc(self, max_bytes: int) -> dict:
         """Shrink the store to ``max_bytes`` (``repro cache gc``).
 
         Quarantined entries count against the budget and are evicted
         *first* (oldest first) — they are corpses kept for inspection,
         so a bounded daemon store reclaims them before touching live
-        entries.  Stale in-flight markers are swept as a side effect.
-        Live entries are then LRU-evicted until the store fits.
+        entries.  Live entries are then LRU-evicted until the store fits.
 
         Returns ``{"bytes_before", "bytes_after", "quarantine_removed",
-        "evicted", "markers_swept"}``.
+        "evicted"}``.
         """
         with self._lock():
-            markers_swept = self._sweep_inflight_locked()
-
-            def _tree_bytes(path: str) -> int:
-                total = 0
-                for dirpath, _dirnames, filenames in os.walk(path):
-                    for filename in filenames:
-                        try:
-                            total += os.path.getsize(
-                                os.path.join(dirpath, filename)
-                            )
-                        except OSError:
-                            continue
-                return total
-
-            quarantine: list[tuple[float, str, int]] = []
-            try:
-                names = os.listdir(self.quarantine_dir)
-            except OSError:
-                names = []
-            for name in names:
-                path = os.path.join(self.quarantine_dir, name)
-                try:
-                    mtime = os.path.getmtime(path)
-                except OSError:
-                    mtime = 0.0
-                quarantine.append((mtime, name, _tree_bytes(path)))
-            quarantine.sort()
-
+            quarantine = self._quarantine_sizes()
             live_bytes = sum(entry.nbytes for entry in self.entries())
             quarantine_bytes = sum(size for _mtime, _name, size in quarantine)
             bytes_before = live_bytes + quarantine_bytes
@@ -710,32 +629,50 @@ class ArtifactStore:
             # Whatever quarantine survives still counts against the
             # budget; live entries get the remainder.
             kept_quarantine = sum(s for _m, _n, s in quarantine)
-            evicted = self._prune_locked(
-                max(0, max_bytes - kept_quarantine), None
-            )
+            evicted = self._prune_locked(max(0, max_bytes - kept_quarantine))
             bytes_after = (
                 sum(entry.nbytes for entry in self.entries())
-                + sum(s for _m, _n, s in quarantine)
+                + kept_quarantine
             )
         return {
             "bytes_before": bytes_before,
             "bytes_after": bytes_after,
             "quarantine_removed": quarantine_removed,
             "evicted": evicted,
-            "markers_swept": markers_swept,
         }
 
-    def _prune_locked(
-        self, max_bytes: int | None, max_entries: int | None
-    ) -> int:
-        """LRU-evict beyond the limits, then rebuild the index (one scan)."""
+    def _quarantine_sizes(self) -> list[tuple[float, str, int]]:
+        """``(mtime, name, bytes)`` of every quarantined entry, oldest first."""
+        try:
+            names = os.listdir(self.quarantine_dir)
+        except OSError:
+            names = []
+        sizes = []
+        for name in names:
+            path = os.path.join(self.quarantine_dir, name)
+            try:
+                mtime = os.path.getmtime(path)
+            except OSError:
+                mtime = 0.0
+            nbytes = 0
+            for dirpath, _dirnames, filenames in os.walk(path):
+                for filename in filenames:
+                    try:
+                        nbytes += os.path.getsize(
+                            os.path.join(dirpath, filename)
+                        )
+                    except OSError:
+                        continue
+            sizes.append((mtime, name, nbytes))
+        return sorted(sizes)
+
+    def _prune_locked(self, max_bytes: int) -> int:
+        """LRU-evict down to ``max_bytes``, then rebuild the index (one
+        scan)."""
         entries = sorted(self.entries(), key=lambda e: e.last_used)
         total = sum(entry.nbytes for entry in entries)
         removed = 0
-        while entries and (
-            (max_bytes is not None and total > max_bytes)
-            or (max_entries is not None and len(entries) > max_entries)
-        ):
+        while entries and total > max_bytes:
             victim = entries.pop(0)
             shutil.rmtree(self._entry_dir(victim.key), ignore_errors=True)
             total -= victim.nbytes
@@ -802,7 +739,7 @@ class ArtifactStore:
         except (OSError, ValueError, KeyError, TypeError, AttributeError):
             total = None
         if total is None or total > self.max_bytes:
-            self._prune_locked(self.max_bytes, None)
+            self._prune_locked(self.max_bytes)
         else:
             self._write_json(path, index)
 

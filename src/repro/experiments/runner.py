@@ -23,6 +23,7 @@ lookup exactly as without it.
 
 from __future__ import annotations
 
+import contextlib
 import threading
 import time
 from collections import OrderedDict
@@ -158,40 +159,40 @@ class ExperimentRunner:
                            workload=name, scale=self.scale):
             art = interp_steps = None
             outcome = "off"
-            claimed = False
             memo_hits = 0
             key = None
-            if self.store is not None:
-                key = artifact_key(name, self.scale, self.options.opt)
-                # The Workload object, not its name: a name re-registered
-                # with other inputs is another program.
-                memo_key = (workload, self.scale, self.options,
-                            self.store.root)
-                payload = self.store.get(key)
-                if payload is None:
-                    # Cold entry: claim it, or — if a concurrent process
-                    # already claimed this exact configuration — wait for
-                    # its publish instead of computing a duplicate.
-                    claimed = self.store.claim(key)
-                    if not claimed:
-                        payload = self.store.wait_for(key)
-                if payload is not None:
-                    art = _memo_get(memo_key)
-                    if art is not None:
-                        memo_hits = 1
-                        recorder.count("artifacts_memo_hits", 1)
-                    else:
-                        try:
-                            with recorder.span("hydrate", cat="pipeline"):
-                                art = _memo_admit(
-                                    memo_key, self._hydrate(workload, payload)
-                                )
-                        except (LookupError, ValueError):
-                            pass   # a structurally stale entry: compute
-                    if art is not None:
-                        interp_steps = 0
-                        outcome = "hit"
-            try:
+            with contextlib.ExitStack() as building:
+                if self.store is not None:
+                    key = artifact_key(name, self.scale, self.options.opt)
+                    # The Workload object, not its name: a name
+                    # re-registered with other inputs is another program.
+                    memo_key = (workload, self.scale, self.options,
+                                self.store.root)
+                    payload = self.store.get(key)
+                    if payload is None:
+                        # Cold entry: take its compute lock, so a
+                        # concurrent build of this exact configuration is
+                        # waited for and shared instead of duplicated.
+                        payload = building.enter_context(
+                            self.store.computing(key)
+                        )
+                    if payload is not None:
+                        art = _memo_get(memo_key)
+                        if art is not None:
+                            memo_hits = 1
+                            recorder.count("artifacts_memo_hits", 1)
+                        else:
+                            try:
+                                with recorder.span("hydrate", cat="pipeline"):
+                                    art = _memo_admit(
+                                        memo_key,
+                                        self._hydrate(workload, payload),
+                                    )
+                            except (LookupError, ValueError):
+                                pass   # a structurally stale entry: compute
+                        if art is not None:
+                            interp_steps = 0
+                            outcome = "hit"
                 if art is None:
                     payload, profiled = self._compute(workload)
                     interp_steps = payload.meta["interp_instructions"]
@@ -199,9 +200,6 @@ class ExperimentRunner:
                         outcome = "miss"
                         self.store.put(key, payload)
                     art = self._hydrate(workload, payload, profiled)
-            finally:
-                if claimed:
-                    self.store.release(key)
             self._artifacts[name] = art
             if recorder.enabled:
                 self._emit_placement_event(recorder, name, art, outcome)

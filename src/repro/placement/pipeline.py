@@ -77,8 +77,6 @@ class PlacementOptions:
     select_traces: bool = True
     split_regions: bool = True
     global_dfs: bool = True
-    base_address: int = 0
-    function_align: int = 4
     opt: OptOptions = field(default_factory=OptOptions)
 
     @classmethod
@@ -303,12 +301,7 @@ def place(
             )
 
         order = assemble_block_order(program, layouts, global_layout)
-        image = MemoryImage.build(
-            program,
-            order,
-            base_address=options.base_address,
-            function_align=options.function_align,
-        )
+        image = MemoryImage.build(program, order)
     return _PlaceResult(
         selections=selections,
         function_layouts=layouts,

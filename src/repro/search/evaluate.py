@@ -35,7 +35,7 @@ from repro import obs
 from repro.engine.jobs import JobSpec
 from repro.engine.scheduler import run_jobs
 from repro.search.pareto import pareto_front, per_workload_winners, sensitivity
-from repro.search.space import SearchSpace, placement_fingerprint
+from repro.search.space import SearchSpace
 from repro.search.strategies import Strategy
 
 __all__ = [
@@ -170,7 +170,6 @@ def run_trial(params: dict, runner) -> dict:
         "trial": params["trial"],
         "rung": params["rung"],
         "fingerprint": params["fingerprint"],
-        "placement_fp": placement_fingerprint(candidate),
         "candidate": dict(candidate),
         "workloads": per_workload,
         "objectives": objectives,

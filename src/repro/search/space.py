@@ -39,7 +39,6 @@ __all__ = [
     "categorical",
     "default_space",
     "integer",
-    "placement_fingerprint",
     "placement_options",
     "real",
     "OPT_CHOICES",
@@ -250,17 +249,3 @@ def placement_options(candidate: Mapping) -> PlacementOptions:
         inline_max_code_growth=candidate.get("inline_budget"),
         opt_passes=None if opt in (None, "none") else opt,
     )
-
-
-def placement_fingerprint(candidate: Mapping) -> str:
-    """Content address of a candidate's *placement* configuration.
-
-    Two candidates differing only in evaluation axes (layout, cache
-    geometry) share this fingerprint; trial records carry it as
-    ``placement_fp``.  Artifact jobs and store entries are shared more
-    widely, by the ``opt`` axis alone.
-    """
-    from repro.engine.store import options_fingerprint
-
-    payload = options_fingerprint(placement_options(candidate))
-    return hashlib.sha256(payload.encode()).hexdigest()[:10]

@@ -37,7 +37,7 @@ Endpoints
 ``GET /v1/recovery``
     What startup recovery did: journal segments replayed, tickets
     restored with results, tickets re-enqueued, corrupt records
-    skipped, stale store claims swept (``repro status --recovered``).
+    skipped (``repro status --recovered``).
 ``GET /metrics``
     The service metrics registry, content-negotiated: Prometheus text
     exposition format by default (what a scraper wants), the JSON
@@ -64,8 +64,9 @@ Crash safety: with a journal configured, every accepted request is
 durable before its 202 is written, every state transition is journaled,
 and startup replays the journal — restoring finished tickets (their
 results are served as if the crash never happened) and re-enqueueing
-interrupted ones — then compacts it and sweeps stale artifact-store
-claim markers the dead daemon left behind.  ``/healthz`` answers 503
+interrupted ones — then compacts it.  The dead daemon's artifact-store
+key locks died with it (a ``flock`` is released with its holder), so
+there is nothing in the store to reclaim.  ``/healthz`` answers 503
 for the entire replay window, and submissions are refused with 503
 until the restored ticket table is in place (accepting earlier could
 hand out an id the replay is about to restore).
@@ -194,7 +195,7 @@ class ExperimentService:
     # -- recovery ----------------------------------------------------------
 
     def _recover(self) -> None:
-        """Replay the journal and sweep stale store claims, then open up.
+        """Replay the journal, then open up.
 
         Runs with ``self.recovering`` set (``/healthz`` 503, submissions
         refused) and before any worker starts, so the restored ticket
@@ -205,7 +206,7 @@ class ExperimentService:
             "journal": getattr(self.journal, "root", None),
             "segments": 0, "records": 0, "corrupt_records": 0,
             "truncated_bytes": 0, "restored": {}, "recovered_ids": [],
-            "markers_swept": 0, "compacted": False,
+            "compacted": False,
         }
         try:
             if self.journal is not None:
@@ -231,7 +232,6 @@ class ExperimentService:
                         self.registry.counter(
                             f"service.recovery_{name}"
                         ).inc(summary["restored"].get(name, 0))
-            summary["markers_swept"] = self._sweep_store_claims()
         finally:
             self.recovery = summary
             self.recovering = False
@@ -240,17 +240,7 @@ class ExperimentService:
                 segments=summary["segments"], records=summary["records"],
                 corrupt_records=summary["corrupt_records"],
                 restored=summary["restored"],
-                markers_swept=summary["markers_swept"],
             )
-
-    def _sweep_store_claims(self) -> int:
-        """Reclaim in-flight markers a dead daemon left in the store."""
-        from repro.engine.store import ArtifactStore
-
-        try:
-            return ArtifactStore(self.cache_dir).sweep_inflight()
-        except OSError:
-            return 0
 
     def _startup(self) -> None:
         """Recovery, then workers — the order is the correctness."""

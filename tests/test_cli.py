@@ -352,15 +352,12 @@ class TestServiceParser:
         ).job_id == "job-000001"
 
     def test_cache_gc_flags(self):
-        # Flagless gc parses (the command itself exits 2 — it needs
-        # --max-bytes and/or --stale-after; covered in test_store_gc).
-        args = build_parser().parse_args(["cache", "gc"])
-        assert args.max_bytes is None and args.stale_after is None
+        # --max-bytes is required (the missing-flag exit is covered in
+        # test_store_gc).
         args = build_parser().parse_args(
-            ["cache", "gc", "--max-bytes", "1000", "--stale-after", "60"]
+            ["cache", "gc", "--max-bytes", "1000"]
         )
         assert args.max_bytes == 1000
-        assert args.stale_after == 60.0
 
 
 class TestServiceCommands:

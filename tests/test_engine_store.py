@@ -130,10 +130,11 @@ class TestStore:
         for i in range(4):
             store.put(f"{i}" * 24, _payload(i))
         store.get("0" * 24)   # freshen the oldest entry
-        removed = store.prune(max_entries=2)
-        assert removed == 2
+        sizes = {entry.key: entry.nbytes for entry in store.entries()}
+        report = store.gc(sizes["0" * 24] + sizes["3" * 24])
+        assert report["evicted"] == 2
         keys = {entry.key for entry in store.entries()}
-        assert "0" * 24 in keys and len(keys) == 2
+        assert keys == {"0" * 24, "3" * 24}
 
     def test_put_respects_max_bytes(self, tmp_path):
         store = ArtifactStore(tmp_path, max_bytes=1)   # evict everything old

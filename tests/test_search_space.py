@@ -15,7 +15,6 @@ from repro.search.space import (
     categorical,
     default_space,
     integer,
-    placement_fingerprint,
     placement_options,
     real,
 )
@@ -137,16 +136,3 @@ class TestPlacementLowering:
         assert options.min_prob == 0.9
         assert options.inline.min_call_count == 125
         assert options.inline.max_code_growth == 2.0
-
-    def test_placement_fingerprint_ignores_evaluation_axes(self):
-        default = default_space().default_candidate()
-        cache_only = {**default, "cache_bytes": 8192, "block_bytes": 16,
-                      "layout": "natural", "associativity": 4}
-        assert (
-            placement_fingerprint(default)
-            == placement_fingerprint(cache_only)
-        )
-        assert (
-            placement_fingerprint(default)
-            != placement_fingerprint({**default, "min_prob": 0.5})
-        )

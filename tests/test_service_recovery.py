@@ -154,31 +154,6 @@ class TestRestartRecovery:
                     if name.startswith("segment-")]
         assert len(segments) == 1
 
-    def test_recovery_sweeps_stale_store_claims(self, tmp_path):
-        import os
-
-        from repro.engine.store import ArtifactStore
-
-        cache = str(tmp_path / "cache")
-        store = ArtifactStore(cache)
-        os.makedirs(store.inflight_dir, exist_ok=True)
-        with open(store._marker_path("0" * 24), "w") as out:
-            json.dump({"pid": 2**22 + 12345,
-                       "created": time.time() - 10_000}, out)
-
-        service = ExperimentService(
-            port=0, cache_dir=cache, workers=1,
-            executor=_echo_executor,
-            journal_dir=str(tmp_path / "journal"),
-        )
-        service.start()
-        try:
-            _wait_recovered(service)
-            assert service.recovery["markers_swept"] == 1
-        finally:
-            service.shutdown(timeout=10.0)
-        assert not os.path.exists(store._marker_path("0" * 24))
-
     def test_empty_journal_recovers_to_clean_service(self, tmp_path):
         service = ExperimentService(
             port=0, cache_dir=str(tmp_path / "cache"), workers=1,

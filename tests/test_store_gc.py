@@ -1,16 +1,20 @@
-"""Store GC, in-flight claim coordination, and multi-process safety."""
+"""Store GC, per-key compute locks, and multi-process safety."""
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
 
+from repro.engine import store as store_module
 from repro.engine.store import ArtifactPayload, ArtifactStore
 
 
@@ -34,7 +38,7 @@ class TestGC:
         report = ArtifactStore(tmp_path).gc(0)
         assert report == {
             "bytes_before": 0, "bytes_after": 0,
-            "quarantine_removed": 0, "evicted": 0, "markers_swept": 0,
+            "quarantine_removed": 0, "evicted": 0,
         }
 
     def test_fits_within_budget_evicts_nothing(self, tmp_path):
@@ -93,136 +97,192 @@ class TestGC:
         assert report["bytes_after"] == 0
         assert store.entries() == []
 
-    def test_sweeps_stale_markers_only(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        assert store.claim(_key(1))           # live marker (our pid)
-        os.makedirs(store.inflight_dir, exist_ok=True)
-        with open(store._marker_path(_key(2)), "w") as out:
-            json.dump({"pid": 2**22 + 12345,  # almost surely dead
-                       "created": time.time() - 10_000}, out)
-        report = store.gc(1 << 30)
-        assert report["markers_swept"] == 1
-        assert store.in_flight(_key(1))       # live claim survives
-        assert not os.path.exists(store._marker_path(_key(2)))
-        store.release(_key(1))
-
-
-# -- orphaned in-flight marker sweep (`repro cache gc --stale-after`) ------
-
-
-class TestSweepInflight:
-    def test_sweeps_dead_owner_keeps_live(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        assert store.claim(_key(1))           # our live claim
-        os.makedirs(store.inflight_dir, exist_ok=True)
-        with open(store._marker_path(_key(2)), "w") as out:
-            json.dump({"pid": 2**22 + 12345,  # dead owner, recent marker
-                       "created": time.time()}, out)
-        swept = store.sweep_inflight()
-        assert swept == 1
-        assert store.in_flight(_key(1))
-        assert not os.path.exists(store._marker_path(_key(2)))
-        store.release(_key(1))
-
-    def test_stale_after_overrides_age_horizon(self, tmp_path):
-        """A live-owner marker older than --stale-after is an orphan.
-
-        Regression: a daemon worker that claimed a key and then wedged
-        (thread hung, never released) leaves a marker whose pid is
-        alive forever; only the age horizon can reclaim it.
-        """
-        store = ArtifactStore(tmp_path)
-        os.makedirs(store.inflight_dir, exist_ok=True)
-        with open(store._marker_path(_key(3)), "w") as out:
-            json.dump({"pid": os.getpid(),    # alive: this process
-                       "created": time.time() - 30}, out)
-        assert store.sweep_inflight(stale_after=3600) == 0
-        assert store.sweep_inflight(stale_after=1) == 1
-        assert not os.path.exists(store._marker_path(_key(3)))
-
-    def test_unparsable_marker_is_swept(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        os.makedirs(store.inflight_dir, exist_ok=True)
-        with open(store._marker_path(_key(4)), "w") as out:
-            out.write("{torn")
-        assert store.sweep_inflight() == 1
-
-    def test_empty_inflight_dir_is_zero(self, tmp_path):
-        assert ArtifactStore(tmp_path).sweep_inflight() == 0
-
-    def test_cli_gc_stale_after(self, tmp_path, capsys):
+    def test_cli_gc_requires_max_bytes(self, tmp_path, capsys):
         from repro.cli import main
 
-        store = ArtifactStore(tmp_path)
-        os.makedirs(store.inflight_dir, exist_ok=True)
-        with open(store._marker_path(_key(5)), "w") as out:
-            json.dump({"pid": 2**22 + 23456,
-                       "created": time.time() - 10_000}, out)
-        assert main(["cache", "gc", "--stale-after", "60",
-                     "--cache-dir", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "swept 1 stale in-flight marker" in out
-        assert not os.path.exists(store._marker_path(_key(5)))
-
-    def test_cli_gc_requires_some_flag(self, tmp_path, capsys):
-        from repro.cli import main
-
-        assert main(["cache", "gc", "--cache-dir", str(tmp_path)]) == 2
-        assert "--max-bytes and/or --stale-after" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            main(["cache", "gc", "--cache-dir", str(tmp_path)])
+        assert exit_info.value.code == 2
+        assert "--max-bytes" in capsys.readouterr().err
 
 
-# -- in-flight claims ------------------------------------------------------
+# -- per-key compute locks -------------------------------------------------
 
 
 class TestClaims:
     def test_single_claimant_wins(self, tmp_path):
+        """One holder at a time, across two store objects."""
         first = ArtifactStore(tmp_path)
         second = ArtifactStore(tmp_path)
-        assert first.claim(_key(7))
-        assert not second.claim(_key(7))
-        first.release(_key(7))
-        assert second.claim(_key(7))
-        second.release(_key(7))
+        events = []
+
+        def enter_second():
+            with second.computing(_key(7)) as published:
+                events.append(("second in", published))
+
+        with first.computing(_key(7)) as published:
+            assert published is None
+            thread = threading.Thread(target=enter_second)
+            thread.start()
+            time.sleep(0.3)
+            events.append(("first out", None))
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert events == [("first out", None), ("second in", None)]
+        assert os.listdir(first.inflight_dir) == []
 
     def test_claim_refused_when_published(self, tmp_path):
+        """A published key is handed back, never recomputed."""
         store = ArtifactStore(tmp_path)
         store.put(_key(7), _payload(7))
-        assert not store.claim(_key(7))
+        with store.computing(_key(7)) as published:
+            assert published is not None
+            assert published.profiles["pre"] == {"tag": 7}
 
     def test_wait_for_returns_published_payload(self, tmp_path):
         producer = ArtifactStore(tmp_path)
         consumer = ArtifactStore(tmp_path)
-        assert producer.claim(_key(9))
+        received = []
 
-        def publish():
+        def consume():
+            with consumer.computing(_key(9)) as published:
+                received.append(published)
+
+        with producer.computing(_key(9)) as published:
+            assert published is None
+            thread = threading.Thread(target=consume)
+            thread.start()
             time.sleep(0.1)
             producer.put(_key(9), _payload(9))
-            producer.release(_key(9))
-
-        thread = threading.Thread(target=publish)
-        thread.start()
-        payload = consumer.wait_for(_key(9), timeout=5.0)
-        thread.join()
-        assert payload is not None
-        assert payload.profiles["pre"] == {"tag": 9}
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert received[0] is not None
+        assert received[0].profiles["pre"] == {"tag": 9}
         assert consumer.waits == 1
+        assert producer.waits == 0
 
-    def test_wait_for_gives_up_on_dead_claimant(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        os.makedirs(store.inflight_dir, exist_ok=True)
-        with open(store._marker_path(_key(5)), "w") as out:
-            json.dump({"pid": 2**22 + 54321, "created": time.time()}, out)
-        assert store.wait_for(_key(5), timeout=5.0) is None
+    def test_wait_for_gives_up_on_dead_claimant(self, tmp_path, monkeypatch):
+        """A ``kill -9``'d holder's lock dies with it: the waiter computes."""
+        monkeypatch.setattr(store_module, "WAIT_LIMIT_S", 10.0)
+        package_dir = os.path.dirname(os.path.dirname(store_module.__file__))
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(package_dir))
+        script = (
+            "import sys, time\n"
+            "from repro.engine.store import ArtifactStore\n"
+            "with ArtifactStore(sys.argv[1]).computing(sys.argv[2]):\n"
+            "    print('held', flush=True)\n"
+            "    time.sleep(60)\n"
+        )
+        holder = subprocess.Popen(
+            [sys.executable, "-c", script, str(tmp_path), _key(5)],
+            stdout=subprocess.PIPE, env=env, text=True,
+        )
+        try:
+            assert holder.stdout.readline().strip() == "held"
+            waiter = ArtifactStore(tmp_path)
+            killer = threading.Timer(0.3, holder.kill)   # SIGKILL
+            started = time.monotonic()
+            killer.start()
+            with waiter.computing(_key(5)) as published:
+                waited = time.monotonic() - started
+                assert published is None
+        finally:
+            holder.kill()
+            holder.wait()
+            holder.stdout.close()
+        assert 0.2 <= waited < 2.0
+        assert os.listdir(waiter.inflight_dir) == []
 
-    def test_stale_marker_can_be_reclaimed(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        store.inflight_stale_s = 0.01
-        os.makedirs(store.inflight_dir, exist_ok=True)
-        with open(store._marker_path(_key(6)), "w") as out:
-            json.dump({"pid": os.getpid(),
-                       "created": time.time() - 100}, out)
-        assert store.claim(_key(6))   # steals the stale marker
-        store.release(_key(6))
+    def test_wedged_holder_is_waited_out(self, tmp_path, monkeypatch):
+        """A live holder that never finishes gives way after WAIT_LIMIT_S.
+
+        Regression: a daemon worker that takes a key and then wedges
+        (thread hung, never released) must not block its waiters forever.
+        """
+        monkeypatch.setattr(store_module, "WAIT_LIMIT_S", 0.3)
+        holder = ArtifactStore(tmp_path)
+        waiter = ArtifactStore(tmp_path)
+        with holder.computing(_key(6)):
+            started = time.monotonic()
+            with waiter.computing(_key(6)) as published:
+                assert published is None
+            assert 0.3 <= time.monotonic() - started < 2.0
+        assert os.listdir(holder.inflight_dir) == []
+
+    def test_many_builders_compute_once(self, tmp_path):
+        """More builders than cores race one key: one computes, all share."""
+        stores = [ArtifactStore(tmp_path) for _ in range(6)]
+        computed = []
+        results = [None] * len(stores)
+
+        def build(index):
+            store = stores[index]
+            with store.computing(_key(4)) as published:
+                if published is None:
+                    computed.append(index)
+                    time.sleep(0.1)
+                    store.put(_key(4), _payload(4))
+                    published = store.get(_key(4))
+                results[index] = published.profiles["pre"]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=build, args=(index,))
+                for index in range(len(stores))
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(computed) == 1
+        assert results == [{"tag": 4}] * len(stores)
+        assert sum(store.waits for store in stores) == len(stores) - 1
+        assert os.listdir(stores[0].inflight_dir) == []
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_does_not_pin_lock(self, tmp_path, monkeypatch):
+        """A child forked while a lock is held does not keep it held.
+
+        The child's copy of the descriptor shares the parent's ``flock``;
+        without the store's at-fork close, a waiter already polling the
+        file would stay blocked for the child's whole life.
+        """
+        monkeypatch.setattr(store_module, "WAIT_LIMIT_S", 5.0)
+        holder = ArtifactStore(tmp_path)
+        waiter = ArtifactStore(tmp_path)
+        entered = []
+
+        def wait():
+            with waiter.computing(_key(8)) as published:
+                entered.append((published, time.monotonic()))
+
+        thread = threading.Thread(target=wait)
+        with holder.computing(_key(8)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DeprecationWarning)
+                child = os.fork()
+            if child == 0:
+                try:
+                    time.sleep(30)
+                finally:
+                    os._exit(0)
+            thread.start()
+            time.sleep(0.3)      # the waiter now polls the held file
+            released = time.monotonic()
+        try:
+            thread.join(timeout=10)
+        finally:
+            os.kill(child, signal.SIGKILL)
+            os.waitpid(child, 0)
+        assert not thread.is_alive()
+        published, entered_at = entered[0]
+        assert published is None
+        assert entered_at - released < 2.0
 
 
 # -- the double-execution regression ---------------------------------------
@@ -240,7 +300,7 @@ class _CountingRunner:
 
         def counting(workload):
             self.computed.append(workload.name)
-            time.sleep(0.2)     # hold the claim long enough to race
+            time.sleep(0.2)     # hold the lock long enough to race
             return original(workload)
 
         self.runner._compute = counting
@@ -249,9 +309,9 @@ class _CountingRunner:
 def test_concurrent_same_artifact_executes_once(tmp_path):
     """Regression: two runners racing one key must compute it once.
 
-    Before store-level in-flight markers, both would interpret the
-    workload and double-write; now the loser waits on the winner's
-    claim and hydrates the published entry.
+    Without the store's per-key compute lock, both would interpret the
+    workload and double-write; now the loser waits on the winner's lock
+    and hydrates the published entry.
     """
     computed: list[str] = []
     runners = [
@@ -275,13 +335,10 @@ def test_concurrent_same_artifact_executes_once(tmp_path):
     assert np.array_equal(
         results[0].trace.block_ids, results[1].trace.block_ids
     )
-    # Exactly one of the two stores waited on the other's claim.
+    # Exactly one of the two stores waited on the other's lock.
     assert sum(r.runner.store.waits for r in runners) == 1
-    # No leftover markers.
-    store = ArtifactStore(tmp_path)
-    assert not store.in_flight(
-        list({entry.key for entry in store.entries()})[0]
-    )
+    # No leftover lock files.
+    assert os.listdir(ArtifactStore(tmp_path).inflight_dir) == []
 
 
 # -- two processes hammering one cache dir ---------------------------------
