@@ -261,9 +261,12 @@ def _observed_accept_phase(root: str, observed: bool) -> tuple[dict, dict]:
     The ``on`` phase runs with ``--trace-dir`` and ``--log-dir`` wired
     and every measured submit carrying an ``X-Repro-Trace`` header —
     the full observability tax.  The ``off`` phase is the zero-overhead
-    baseline (no sink attached anywhere).  Both run journal-less so the
-    fsync tax (pinned by :func:`test_journal_accept_overhead`) does not
-    pollute this gate.  Returns ``(latency_doc, metrics_snapshot)``.
+    baseline (no sink attached anywhere).  Both run journaled, each on
+    its own journal directory, as ``repro serve`` does by default: the
+    fsync tax (pinned by :func:`test_journal_accept_overhead`) lands on
+    both sides of this comparison, and the observed daemon's snapshot
+    carries ``service.journal_fsync_s`` for the ``journal-fsync-p99``
+    objective.  Returns ``(latency_doc, metrics_snapshot)``.
     """
     label = "on" if observed else "off"
     extras = {}
@@ -274,7 +277,8 @@ def _observed_accept_phase(root: str, observed: bool) -> tuple[dict, dict]:
         }
     service = ExperimentService(
         port=0, cache_dir=os.path.join(root, f"cache-{label}"),
-        workers=4, queue_depth=256, **extras,
+        workers=4, queue_depth=256,
+        journal_dir=os.path.join(root, f"journal-{label}"), **extras,
     )
     service.start()
     try:

@@ -103,8 +103,8 @@ Commands
 ``status [JOB_ID]``
     Poll a daemon: without an id, its health and queue stats; with one,
     that job's status document.  ``--recovered`` prints what the last
-    startup recovery did (journal segments replayed, jobs restored and
-    re-enqueued, corrupt records skipped, stale claims swept).
+    startup recovery did (journal records replayed, jobs restored and
+    re-enqueued, corrupt records skipped, torn-tail bytes cut).
 ``optimize``
     Run the placement pipeline on one benchmark and report inline /
     trace-selection / footprint statistics plus cache ratios for a chosen
@@ -119,8 +119,10 @@ inputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
+import types
 
 __all__ = ["main", "build_parser", "TABLE_CHOICES"]
 
@@ -386,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="service base URL")
     status.add_argument("--recovered", action="store_true",
                         help="print the daemon's startup recovery summary "
-                             "(journal replay, restored jobs, swept claims)")
+                             "(journal replay, restored jobs, corrupt records)")
 
     trace = sub.add_parser(
         "trace", help="reconstruct one request's cross-process timeline"
@@ -585,12 +587,69 @@ def _write_profile(prefix: str, stacks: dict, title: str) -> None:
     )
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
+@contextlib.contextmanager
+def _engine_run(args: argparse.Namespace, meta: dict):
+    """The set-up and teardown ``repro table`` and ``repro tune run`` share.
+
+    Installs the recorder (with ``--trace-out``/``--chrome-trace``), the
+    ``--attribution`` collector and the ``--profile-out`` profiler, and
+    yields the run's ``telemetry``, ``profiler``, ``cache_dir`` and
+    ``use_cache``; ``--no-cache --jobs N`` gets a throwaway store,
+    because workers can only exchange artifacts through one.  On exit
+    the store is removed and an observed run's file is written, its
+    meta holding ``meta``, the job count and the telemetry totals.
+    """
     from repro import diagnose, obs
-    from repro.engine.jobs import ALL_TABLE_NAMES, table_plan
-    from repro.engine.scheduler import ExperimentFailure, run_jobs
     from repro.engine.telemetry import Telemetry
     from repro.perf import profiler as perf_profiler
+
+    chrome_trace = getattr(args, "chrome_trace", None)
+    observing = bool(args.trace_out or chrome_trace)
+    recorder = obs.Recorder() if observing else obs.NULL
+    collector = (diagnose.Collector() if getattr(args, "attribution", False)
+                 else diagnose.NULL)
+    run = types.SimpleNamespace(
+        profiler=(perf_profiler.ProfileCollector() if args.profile_out
+                  else perf_profiler.NULL),
+        # One metric namespace: the run's robustness counters and the
+        # observability counters land in the same registry.
+        telemetry=Telemetry(
+            registry=recorder.metrics if observing else None
+        ),
+        cache_dir=args.cache_dir,
+        use_cache=not args.no_cache,
+    )
+    temp_cache = None
+    if not run.use_cache and args.jobs > 1:
+        import tempfile
+
+        temp_cache = tempfile.TemporaryDirectory(prefix="repro-cache-")
+        run.cache_dir, run.use_cache = temp_cache.name, True
+    try:
+        with obs.use(recorder), diagnose.use(collector), \
+                perf_profiler.use(run.profiler):
+            yield run
+    finally:
+        if temp_cache is not None:
+            temp_cache.cleanup()
+        if observing:
+            recorder.meta.update(
+                meta,
+                jobs=args.jobs,
+                telemetry_totals=run.telemetry.totals(),
+                telemetry_counters=run.telemetry.counters,
+            )
+            if collector.enabled:
+                recorder.meta["attribution"] = collector.to_dict()
+            if args.trace_out:
+                recorder.dump_jsonl(args.trace_out)
+            if chrome_trace:
+                recorder.dump_chrome_trace(chrome_trace)
+
+
+def _cmd_table(args: argparse.Namespace) -> int:
+    from repro.engine.jobs import ALL_TABLE_NAMES, table_plan
+    from repro.engine.scheduler import ExperimentFailure, run_jobs
 
     name = args.name
     if name not in TABLE_CHOICES:
@@ -608,7 +667,6 @@ def _cmd_table(args: argparse.Namespace) -> int:
     tables = list(ALL_TABLE_NAMES) if name == "all" else [name]
     if not _check_opt(args.opt, "table"):
         return 2
-    observing = bool(args.trace_out or args.chrome_trace)
     if args.attribution and not args.trace_out:
         print(
             "repro table: --attribution needs --trace-out PATH (the run "
@@ -617,60 +675,22 @@ def _cmd_table(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    recorder = obs.Recorder() if observing else obs.NULL
-    collector = diagnose.Collector() if args.attribution else diagnose.NULL
-    profiler = (
-        perf_profiler.ProfileCollector() if args.profile_out
-        else perf_profiler.NULL
-    )
-    # One metric namespace: the run's robustness counters and the
-    # observability counters land in the same registry.
-    telemetry = Telemetry(
-        registry=recorder.metrics if observing else None
-    )
-    use_cache = not args.no_cache
-    cache_dir = args.cache_dir
-    temp_cache = None
-    if not use_cache and args.jobs > 1:
-        # Workers can only exchange artifacts through a store; honour
-        # --no-cache by using a throwaway one.
-        import tempfile
-
-        temp_cache = tempfile.TemporaryDirectory(prefix="repro-cache-")
-        cache_dir, use_cache = temp_cache.name, True
     failure = None
-    try:
-        with obs.use(recorder), diagnose.use(collector), \
-                perf_profiler.use(profiler):
+    meta = {"tables": tables, "scale": args.scale}
+    with _engine_run(args, meta) as run:
+        try:
             values = run_jobs(
                 table_plan(tables, args.scale, opt=args.opt),
                 jobs=args.jobs,
-                cache_dir=cache_dir,
-                use_cache=use_cache,
-                telemetry=telemetry,
+                cache_dir=run.cache_dir,
+                use_cache=run.use_cache,
+                telemetry=run.telemetry,
                 retries=args.retries,
                 job_timeout=args.job_timeout,
             )
-    except ExperimentFailure as exc:
-        failure = exc
-        values = exc.values
-    finally:
-        if temp_cache is not None:
-            temp_cache.cleanup()
-        if observing:
-            recorder.meta.update(
-                tables=tables,
-                scale=args.scale,
-                jobs=args.jobs,
-                telemetry_totals=telemetry.totals(),
-                telemetry_counters=telemetry.counters,
-            )
-            if collector.enabled:
-                recorder.meta["attribution"] = collector.to_dict()
-            if args.trace_out:
-                recorder.dump_jsonl(args.trace_out)
-            if args.chrome_trace:
-                recorder.dump_chrome_trace(args.chrome_trace)
+        except ExperimentFailure as exc:
+            failure = exc
+            values = exc.values
     rendered = [
         values[f"table:{table}"] for table in tables
         if f"table:{table}" in values
@@ -678,12 +698,11 @@ def _cmd_table(args: argparse.Namespace) -> int:
     if rendered:
         print("\n".join(rendered))
     if args.telemetry:
-        telemetry.meta["tables"] = tables
-        telemetry.meta["scale"] = args.scale
-        telemetry.dump(args.telemetry)
+        run.telemetry.meta.update(meta)
+        run.telemetry.dump(args.telemetry)
     if args.profile_out:
         _write_profile(
-            args.profile_out, profiler.stacks,
+            args.profile_out, run.profiler.stacks,
             title=f"repro table {' '.join(tables)} hot paths",
         )
     if failure is not None:
@@ -693,10 +712,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_tune_run(args: argparse.Namespace) -> int:
-    from repro import obs
     from repro.engine.scheduler import ExperimentFailure
-    from repro.engine.telemetry import Telemetry
-    from repro.perf import profiler as perf_profiler
     from repro.search import default_space, make_strategy, run_search
     from repro.search.evaluate import write_trials
     from repro.search.report import render_result
@@ -726,25 +742,10 @@ def _cmd_tune_run(args: argparse.Namespace) -> int:
     else:
         workloads = workload_names()
 
-    observing = bool(args.trace_out)
-    recorder = obs.Recorder() if observing else obs.NULL
-    profiler = (
-        perf_profiler.ProfileCollector() if args.profile_out
-        else perf_profiler.NULL
-    )
-    telemetry = Telemetry(registry=recorder.metrics if observing else None)
-    use_cache = not args.no_cache
-    cache_dir = args.cache_dir
-    temp_cache = None
-    if not use_cache and args.jobs > 1:
-        # Workers can only exchange artifacts through a store; honour
-        # --no-cache by using a throwaway one.
-        import tempfile
-
-        temp_cache = tempfile.TemporaryDirectory(prefix="repro-cache-")
-        cache_dir, use_cache = temp_cache.name, True
-    try:
-        with obs.use(recorder), perf_profiler.use(profiler):
+    meta = {"kind": "tune", "strategy": args.strategy,
+            "budget": args.budget, "seed": args.seed, "scale": args.scale}
+    with _engine_run(args, {**meta, "workloads": workloads}) as run:
+        try:
             result = run_search(
                 space,
                 make_strategy(args.strategy, args.seed),
@@ -752,47 +753,28 @@ def _cmd_tune_run(args: argparse.Namespace) -> int:
                 budget=args.budget,
                 scale=args.scale,
                 jobs=args.jobs,
-                cache_dir=cache_dir,
-                use_cache=use_cache,
-                telemetry=telemetry,
+                cache_dir=run.cache_dir,
+                use_cache=run.use_cache,
+                telemetry=run.telemetry,
                 retries=args.retries,
                 job_timeout=args.job_timeout,
                 seed=args.seed,
             )
-    except ExperimentFailure as exc:
-        print(f"repro tune: {exc.summary()}", file=sys.stderr)
-        return EXIT_PARTIAL_FAILURE
-    finally:
-        if temp_cache is not None:
-            temp_cache.cleanup()
-        if observing:
-            recorder.meta.update(
-                kind="tune",
-                strategy=args.strategy,
-                budget=args.budget,
-                seed=args.seed,
-                scale=args.scale,
-                workloads=workloads,
-                jobs=args.jobs,
-                telemetry_totals=telemetry.totals(),
-                telemetry_counters=telemetry.counters,
-            )
-            recorder.dump_jsonl(args.trace_out)
+        except ExperimentFailure as exc:
+            print(f"repro tune: {exc.summary()}", file=sys.stderr)
+            return EXIT_PARTIAL_FAILURE
     write_trials(result, args.out)
     if args.profile_out:
         _write_profile(
-            args.profile_out, profiler.stacks,
+            args.profile_out, run.profiler.stacks,
             title="repro tune hot paths",
         )
     print(render_result(result))
     print(f"trial log: {args.out} "
           f"({len(result.records)} records, {result.pruned} pruned)")
     if args.telemetry:
-        telemetry.meta.update(
-            kind="tune", strategy=args.strategy, budget=args.budget,
-            seed=args.seed, scale=args.scale,
-        )
-        telemetry.dump(args.telemetry)
+        run.telemetry.meta.update(meta)
+        run.telemetry.dump(args.telemetry)
     return 0
 
 
@@ -852,7 +834,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_explain(args: argparse.Namespace) -> int:
     from repro.cache.base import cache_sets
-    from repro.diagnose.explain import explain
+    from repro.engine.jobs import request_plan
+    from repro.engine.scheduler import ExperimentFailure, run_jobs
     from repro.workloads.registry import workload_names
 
     if args.workload not in workload_names():
@@ -869,19 +852,19 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"repro explain: {exc}", file=sys.stderr)
         return 2
-    print(explain(
-        args.workload,
-        cache_bytes=args.cache_bytes,
-        block_bytes=args.block_bytes,
-        assoc=args.assoc,
-        layout=args.layout,
-        baseline=args.baseline,
-        scale=args.scale,
-        cache_dir=args.cache_dir,
-        use_cache=not args.no_cache,
-        top=args.top,
-        opt=args.opt,
-    ))
+    request = {
+        "kind": "explain", "workload": args.workload, "scale": args.scale,
+        "cache_bytes": args.cache_bytes, "block_bytes": args.block_bytes,
+        "assoc": args.assoc, "layout": args.layout,
+        "baseline": args.baseline, "top": args.top, "opt": args.opt,
+    }
+    try:
+        values = run_jobs(request_plan(request), cache_dir=args.cache_dir,
+                          use_cache=not args.no_cache)
+    except ExperimentFailure as exc:
+        print(f"repro explain: {exc.summary()}", file=sys.stderr)
+        return EXIT_PARTIAL_FAILURE
+    print(values[f"explain:{args.workload}"])
     return 0
 
 

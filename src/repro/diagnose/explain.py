@@ -25,7 +25,6 @@ from repro import diagnose
 from repro.diagnose.classify import Attribution
 
 __all__ = [
-    "explain",
     "explain_with_runner",
     "render_attribution",
     "render_comparison",
@@ -51,38 +50,6 @@ def _simulate(addresses, cache_bytes: int, block_bytes: int,
         simulate_set_associative(addresses, cache_bytes, block_bytes, assoc)
 
 
-def explain(
-    workload: str,
-    cache_bytes: int = 2048,
-    block_bytes: int = 64,
-    assoc: int = 1,
-    layout: str = "optimized",
-    baseline: str = "natural",
-    scale: str = "small",
-    cache_dir: str | None = None,
-    use_cache: bool = True,
-    top: int = 10,
-    opt: str | None = None,
-) -> str:
-    """The full ``repro explain`` text for one workload."""
-    from repro.engine.store import ArtifactStore
-    from repro.experiments.runner import ExperimentRunner
-
-    store = ArtifactStore(cache_dir) if use_cache else None
-    runner = ExperimentRunner(scale=scale, store=store)
-    return explain_with_runner(
-        runner,
-        workload,
-        cache_bytes=cache_bytes,
-        block_bytes=block_bytes,
-        assoc=assoc,
-        layout=layout,
-        baseline=baseline,
-        top=top,
-        opt=opt,
-    )
-
-
 def explain_with_runner(
     runner,
     workload: str,
@@ -94,12 +61,12 @@ def explain_with_runner(
     top: int = 10,
     opt: str | None = None,
 ) -> str:
-    """``explain`` against an existing runner (the engine's job path).
+    """The full ``repro explain`` text for one workload.
 
     The engine's ``explain`` job kind lands here with the scheduler's
     shared runner, whose artifact dependencies have already been
-    satisfied from the store — so a service-submitted explain replays
-    only the requested geometry, byte-identical to the CLI's output.
+    satisfied from the store — so an explain from the CLI, the service
+    or the benchmark replays only the requested geometry.
 
     ``opt`` (a middle-end pass spec) appends an optimized-vs-unoptimized
     section: the same trace semantics re-placed after running those

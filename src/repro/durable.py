@@ -1,6 +1,6 @@
-"""Checksummed JSON-lines files: the one durable-log format.
+"""Checksummed JSON-lines files and the locks that guard durable state.
 
-The service journal (``repro-journal-v1``) and the perf ledger
+The service journal (``repro-journal-v2``) and the perf ledger
 (``repro-perf-v1``) store records the same way::
 
     {"format": ..., "seq": 17, "ts": ..., ..., "checksum": "<sha256[:16]>"}
@@ -9,7 +9,14 @@ one record per line, keys sorted, where ``checksum`` covers the
 canonical JSON of every other field.  A line that fails to parse or
 verify is skipped and counted, never trusted.  Readers take an
 ``accept`` predicate for what makes a verified record the caller's own
-(format tag, event names).
+(format tag, record shape).
+
+:func:`open_held` and :func:`close_held` are the one way to open a file
+that is ``flock``'d: the artifact store's root and per-key locks and the
+journal's ownership lock.  A forked child closes every held descriptor
+at once, because its copy shares the parent's ``flock``; a long-lived
+child (a process-pool worker) would otherwise keep each lock held at the
+fork after the parent releases it.
 """
 
 from __future__ import annotations
@@ -17,14 +24,17 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 import time
 from typing import Callable, NamedTuple
 
 __all__ = [
     "Scan",
     "append",
+    "close_held",
     "last_record",
     "open_append",
+    "open_held",
     "read",
     "record_checksum",
     "rewrite",
@@ -67,13 +77,12 @@ def open_append(path: str):
     return handle
 
 
-def append(handle, line: str, sync: bool = True) -> float:
+def append(handle, line: str) -> float:
     """Write one record line durably; return the flush+fsync seconds."""
     handle.write(line.encode() + b"\n")
     started = time.perf_counter()
     handle.flush()
-    if sync:
-        os.fsync(handle.fileno())
+    os.fsync(handle.fileno())
     return time.perf_counter() - started
 
 
@@ -155,7 +164,7 @@ def last_record(path: str, accept: Callable[[dict], bool]) -> dict | None:
     return None
 
 
-def rewrite(path: str, lines: list[str], sync: bool = True) -> None:
+def rewrite(path: str, lines: list[str]) -> None:
     """Replace ``path`` with ``lines``: staged tmp, fsync, rename.
 
     A crash at any point leaves the old file or the complete new one.
@@ -167,8 +176,7 @@ def rewrite(path: str, lines: list[str], sync: bool = True) -> None:
             for line in lines:
                 handle.write(line.encode() + b"\n")
             handle.flush()
-            if sync:
-                os.fsync(handle.fileno())
+            os.fsync(handle.fileno())
         os.replace(stage, path)
     except OSError:
         try:
@@ -176,3 +184,42 @@ def rewrite(path: str, lines: list[str], sync: bool = True) -> None:
         except OSError:
             pass
         raise
+
+
+#: Descriptors of the lock files this process holds.  ``_held_guard``
+#: keeps a fork from landing between an open and its registration.
+_held_fds: set[int] = set()
+_held_guard = threading.Lock()
+
+
+def open_held(path: str) -> int:
+    """Open (creating) a lock file; the descriptor closes in forked children."""
+    with _held_guard:
+        fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o644)
+        _held_fds.add(fd)
+    return fd
+
+
+def close_held(fd: int) -> None:
+    """Close a descriptor from :func:`open_held`, releasing its ``flock``."""
+    with _held_guard:
+        _held_fds.discard(fd)
+        os.close(fd)
+
+
+def _close_held_in_child() -> None:
+    for fd in _held_fds:
+        try:
+            os.close(fd)
+        except OSError:
+            pass
+    _held_fds.clear()
+    _held_guard.release()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(
+        before=_held_guard.acquire,
+        after_in_parent=_held_guard.release,
+        after_in_child=_close_held_in_child,
+    )

@@ -49,7 +49,9 @@ request) building the same key waits on that lock and, once the holder
 publishes, shares its entry instead of computing a duplicate.  The
 kernel releases a ``flock`` when its holder dies, so a crashed builder
 never wedges its waiters; a live holder that never finishes is waited
-out after ``WAIT_LIMIT_S`` and the waiter computes anyway.
+out after ``WAIT_LIMIT_S`` and the waiter computes anyway.  Both locks
+are opened through :func:`repro.durable.open_held`, so a forked child
+(a pool worker) never keeps one held after its parent releases it.
 """
 
 from __future__ import annotations
@@ -61,12 +63,12 @@ import io
 import json
 import os
 import shutil
-import threading
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro import durable
 from repro.engine import faults
 
 try:
@@ -194,46 +196,6 @@ class _EntryCorrupt(Exception):
     """Internal: an entry exists on disk but failed verification."""
 
 
-#: Descriptors of the store locks this process holds.  A forked child
-#: closes its copies at once: they share the parent's ``flock``, so a
-#: long-lived child (a pool worker) would otherwise keep every lock held
-#: at the fork after the parent releases it.  ``_held_guard`` keeps a
-#: fork from landing between an open and its registration.
-_held_fds: set[int] = set()
-_held_guard = threading.Lock()
-
-
-def _open_held(path: str) -> int:
-    with _held_guard:
-        fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o644)
-        _held_fds.add(fd)
-    return fd
-
-
-def _close_held(fd: int) -> None:
-    with _held_guard:
-        _held_fds.discard(fd)
-        os.close(fd)     # closing releases the flock
-
-
-def _close_held_in_child() -> None:
-    for fd in _held_fds:
-        try:
-            os.close(fd)
-        except OSError:
-            pass
-    _held_fds.clear()
-    _held_guard.release()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(
-        before=_held_guard.acquire,
-        after_in_parent=_held_guard.release,
-        after_in_child=_close_held_in_child,
-    )
-
-
 class ArtifactStore:
     """A content-addressed, LRU-evicted, integrity-checked artifact cache.
 
@@ -290,17 +252,17 @@ class ArtifactStore:
         if fcntl is not None:
             try:
                 os.makedirs(self.root, exist_ok=True)
-                fd = _open_held(os.path.join(self.root, ".lock"))
+                fd = durable.open_held(os.path.join(self.root, ".lock"))
                 fcntl.flock(fd, fcntl.LOCK_EX)
             except OSError:
                 if fd is not None:
-                    _close_held(fd)
+                    durable.close_held(fd)
                 fd = None
         try:
             yield
         finally:
             if fd is not None:
-                _close_held(fd)
+                durable.close_held(fd)
 
     @contextlib.contextmanager
     def computing(self, key: str):
@@ -325,7 +287,7 @@ class ArtifactStore:
                     os.unlink(os.path.join(self.inflight_dir, key))
                 except OSError:
                     pass
-                _close_held(fd)
+                durable.close_held(fd)
 
     def _lock_key(self, key: str) -> tuple[int | None, ArtifactPayload | None]:
         """Poll for ``key``'s lock: ``(fd, None)`` once held, ``(None,
@@ -340,18 +302,18 @@ class ArtifactStore:
             try:
                 if fd is None:
                     os.makedirs(self.inflight_dir, exist_ok=True)
-                    fd = _open_held(path)
+                    fd = durable.open_held(path)
                 fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
             except BlockingIOError:
                 payload = self._published(key)
                 if payload is not None or time.monotonic() >= deadline:
-                    _close_held(fd)
+                    durable.close_held(fd)
                     return None, payload
                 time.sleep(_POLL_S)
                 continue
             except OSError:
                 if fd is not None:
-                    _close_held(fd)
+                    durable.close_held(fd)
                 return None, None
             try:
                 if os.path.samestat(os.fstat(fd), os.stat(path)):
@@ -360,7 +322,7 @@ class ArtifactStore:
                 pass
             # The previous holder unlinked this file as it released it:
             # lock whatever file the path names now.
-            _close_held(fd)
+            durable.close_held(fd)
             fd = None
 
     def _published(self, key: str) -> ArtifactPayload | None:

@@ -11,7 +11,7 @@ many concurrent clients and lowers them onto that engine:
   *placement fingerprints*: two requests that would compute the same
   thing normalize to the same fingerprint;
 * :mod:`repro.service.journal` — the write-ahead job journal: fsync'd,
-  checksummed records of every accept/start/requeue/finish, replayed
+  checksummed records of the whole ticket at every transition, replayed
   on startup so a ``kill -9``'d daemon restarts with its ticket table
   intact — finished results served, interrupted jobs re-executed;
 * :mod:`repro.service.queue` — a bounded submission queue that

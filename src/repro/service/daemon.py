@@ -35,9 +35,9 @@ Endpoints
     200 while serving (queue stats, uptime, workers); 503 while
     recovering (the whole journal-replay window) or draining.
 ``GET /v1/recovery``
-    What startup recovery did: journal segments replayed, tickets
+    What startup recovery did: journal records replayed, tickets
     restored with results, tickets re-enqueued, corrupt records
-    skipped (``repro status --recovered``).
+    skipped, torn-tail bytes cut (``repro status --recovered``).
 ``GET /metrics``
     The service metrics registry, content-negotiated: Prometheus text
     exposition format by default (what a scraper wants), the JSON
@@ -61,10 +61,11 @@ request's trace-dir dump — ``repro trace JOB_ID --url ...``
 reconstructs the whole timeline from it.
 
 Crash safety: with a journal configured, every accepted request is
-durable before its 202 is written, every state transition is journaled,
-and startup replays the journal — restoring finished tickets (their
-results are served as if the crash never happened) and re-enqueueing
-interrupted ones — then compacts it.  The dead daemon's artifact-store
+durable before its 202 is written, every state transition journals the
+ticket's whole document, and startup replays the journal — restoring
+finished tickets (their results are served as if the crash never
+happened) and re-enqueueing interrupted ones — then compacts it to one
+record per live ticket.  The dead daemon's artifact-store
 key locks died with it (a ``flock`` is released with its holder), so
 there is nothing in the store to reclaim.  ``/healthz`` answers 503
 for the entire replay window, and submissions are refused with 503
@@ -204,7 +205,7 @@ class ExperimentService:
         """
         summary = {
             "journal": getattr(self.journal, "root", None),
-            "segments": 0, "records": 0, "corrupt_records": 0,
+            "records": 0, "corrupt_records": 0,
             "truncated_bytes": 0, "restored": {}, "recovered_ids": [],
             "compacted": False,
         }
@@ -213,7 +214,6 @@ class ExperimentService:
                 replay = self.journal.replay(
                     should_abort=lambda: self.draining
                 )
-                summary["segments"] = replay.segments
                 summary["records"] = replay.records
                 summary["corrupt_records"] = replay.corrupt
                 summary["truncated_bytes"] = replay.truncated_bytes
@@ -226,7 +226,7 @@ class ExperimentService:
                         "orphaned_running": restored["orphaned_running"],
                     }
                     summary["recovered_ids"] = restored["recovered_ids"]
-                    self.journal.compact(self.queue.snapshot_docs())
+                    self.queue.compact_journal()
                     summary["compacted"] = True
                     for name in ("done", "failed", "requeued"):
                         self.registry.counter(
@@ -237,7 +237,7 @@ class ExperimentService:
             self.recovering = False
             self.log.info(
                 "recovery_complete",
-                segments=summary["segments"], records=summary["records"],
+                records=summary["records"],
                 corrupt_records=summary["corrupt_records"],
                 restored=summary["restored"],
             )

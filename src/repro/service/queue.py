@@ -25,12 +25,12 @@ the service's core multi-tenancy behaviors:
   layer turns it into 429 + ``Retry-After``).
 
 When built with a :class:`~repro.service.journal.JobJournal`, every
-transition is appended (fsync'd) *before* the in-memory state changes
-are visible to callers: an ``accept`` before submit returns, a
-``start`` before the worker executes, a ``finish`` carrying the result
-before the ticket reads done.  :meth:`restore` is the other half —
-after a crash the daemon replays the journal and hands the surviving
-ticket states back to a fresh queue.
+transition appends the ticket's whole document (fsync'd) *before* the
+in-memory state change is visible to callers: the queued ticket before
+submit returns, the running one before the worker executes, the done
+one carrying the result before a poller can read it.  :meth:`restore`
+is the other half — after a crash the daemon replays the journal and
+hands the newest document of each ticket back to a fresh queue.
 
 Attempt fencing: :meth:`claim` stamps each execution with the ticket's
 current ``attempt``; :meth:`finish` and :meth:`requeue` ignore calls
@@ -55,8 +55,6 @@ import threading
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-
-from repro.service.journal import ticket_doc
 
 __all__ = ["JobQueue", "QueueClosed", "QueueFull", "Ticket"]
 
@@ -160,9 +158,11 @@ class JobQueue:
         # Latency of recently finished work, for Retry-After estimates.
         self._recent_wall_s: deque[float] = deque(maxlen=32)
 
-    def _journal(self, event: str, data: dict) -> None:
+    def _journal(self, ticket: Ticket) -> None:
+        # vars() is the ticket's field dict itself: no copy, and append
+        # serializes it before the lock (held by every caller) drops.
         if self.journal is not None:
-            self.journal.append(event, data)
+            self.journal.append(vars(ticket))
 
     # -- submission --------------------------------------------------------
 
@@ -198,11 +198,7 @@ class JobQueue:
                 existing.coalesced += 1
                 if submission:
                     self._by_submission[submission] = existing.id
-                self._journal("coalesce", {
-                    "id": existing.id,
-                    "coalesced": existing.coalesced,
-                    "submission": submission,
-                })
+                self._journal(existing)
                 return existing, False
             accepted = len(self._pending) + self._running
             if accepted >= self.depth:
@@ -214,16 +210,9 @@ class JobQueue:
                 submission=submission,
                 trace=trace,
             )
-            # Write-ahead: the accept is durable before any caller can
-            # observe (or be promised) this ticket.
-            self._journal("accept", {
-                "id": ticket.id,
-                "request": ticket.request,
-                "fingerprint": fingerprint,
-                "submission": submission,
-                "trace": trace,
-                "created": ticket.created,
-            })
+            # Write-ahead: the ticket is durable before any caller can
+            # observe (or be promised) it.
+            self._journal(ticket)
             self._tickets[ticket.id] = ticket
             self._inflight_by_fp[fingerprint] = ticket
             if submission:
@@ -276,11 +265,7 @@ class JobQueue:
             ticket.state = "running"
             ticket.started = time.time()
             self._running += 1
-            self._journal("start", {
-                "id": ticket.id,
-                "attempt": ticket.attempt,
-                "started": ticket.started,
-            })
+            self._journal(ticket)
             return ticket
 
     def finish(
@@ -311,14 +296,7 @@ class JobQueue:
                 ticket.state = "failed"
                 ticket.error = error
                 ticket.failure = failure or {"cause": "error", "detail": error}
-            self._journal("finish", {
-                "id": ticket.id,
-                "state": ticket.state,
-                "finished": ticket.finished,
-                "result": ticket.result,
-                "error": ticket.error,
-                "failure": ticket.failure,
-            })
+            self._journal(ticket)
             self._running -= 1
             self._recent_wall_s.append(
                 ticket.finished - (ticket.started or ticket.created)
@@ -358,14 +336,7 @@ class JobQueue:
                     "attempts": ticket.attempt + 1,
                     "detail": detail,
                 }
-                self._journal("finish", {
-                    "id": ticket.id,
-                    "state": "failed",
-                    "finished": ticket.finished,
-                    "result": None,
-                    "error": ticket.error,
-                    "failure": ticket.failure,
-                })
+                self._journal(ticket)
                 self._running -= 1
                 self._recent_wall_s.append(
                     ticket.finished - (ticket.started or ticket.created)
@@ -379,12 +350,7 @@ class JobQueue:
             ticket.state = "queued"
             ticket.started = None
             self._running -= 1
-            self._journal("requeue", {
-                "id": ticket.id,
-                "attempt": ticket.attempt,
-                "requeues": ticket.requeues,
-                "cause": cause,
-            })
+            self._journal(ticket)
             self._pending.append(ticket)
             self._work.notify()
             return "requeued"
@@ -419,7 +385,7 @@ class JobQueue:
     # -- crash recovery ----------------------------------------------------
 
     def restore(self, states: list[dict]) -> dict:
-        """Preload tickets recovered from a journal replay.
+        """Preload the ticket documents a journal replay recovered.
 
         Done and failed tickets come back exactly as journaled (their
         results and errors are served to pollers as if nothing
@@ -435,31 +401,14 @@ class JobQueue:
         max_id = 0
         with self._lock:
             for state in states:
-                ticket = Ticket(
-                    id=state["id"],
-                    request=state["request"],
-                    fingerprint=state["fingerprint"],
-                    state=state.get("state", "queued"),
-                    created=state.get("created") or time.time(),
-                    started=state.get("started"),
-                    finished=state.get("finished"),
-                    coalesced=state.get("coalesced", 0),
-                    result=state.get("result"),
-                    error=state.get("error"),
-                    submission=state.get("submission"),
-                    trace=state.get("trace"),
-                    attempt=state.get("attempt", 0),
-                    requeues=state.get("requeues", 0),
-                    recovered=state.get("recovered", False),
-                    failure=state.get("failure"),
-                )
+                ticket = Ticket(**state)
                 try:
                     max_id = max(max_id, int(ticket.id.rsplit("-", 1)[1]))
                 except (IndexError, ValueError):
                     pass
                 if ticket.state in ("done", "failed"):
                     restored[ticket.state] += 1
-                elif ticket.state in ("queued", "running"):
+                else:
                     if ticket.state == "running":
                         restored["orphaned_running"] += 1
                     ticket.state = "queued"
@@ -469,8 +418,6 @@ class JobQueue:
                     restored["recovered_ids"].append(ticket.id)
                     self._inflight_by_fp[ticket.fingerprint] = ticket
                     self._pending.append(ticket)
-                else:
-                    continue
                 self._tickets[ticket.id] = ticket
                 if ticket.submission:
                     self._by_submission[ticket.submission] = ticket.id
@@ -479,18 +426,16 @@ class JobQueue:
             self._work.notify_all()
         return restored
 
-    def snapshot_docs(self) -> list[dict]:
-        """Full journal documents for every live ticket (compaction)."""
+    def compact_journal(self) -> None:
+        """Rewrite the journal as one document per live ticket."""
         with self._lock:
-            return [ticket_doc(t) for t in self._tickets.values()]
+            self.journal.compact([vars(t) for t in self._tickets.values()])
 
     def maybe_compact(self) -> bool:
         """Compact the journal once it outgrows its byte budget."""
         if self.journal is None or not self.journal.should_compact():
             return False
-        with self._lock:
-            docs = [ticket_doc(t) for t in self._tickets.values()]
-            self.journal.compact(docs)
+        self.compact_journal()
         return True
 
     # -- introspection -----------------------------------------------------

@@ -4,17 +4,30 @@ stability of the journal and ledger bytes it reads."""
 from __future__ import annotations
 
 import json
-import os
+from dataclasses import asdict
 
 import pytest
 
 from repro import durable
 from repro.perf.ledger import PerfLedger, _is_ledger_record
 from repro.service.journal import JobJournal, _is_journal_record
+from repro.service.queue import Ticket
 
-#: Written (with ``ts`` fixed) by the journal and ledger writers that
-#: predate :mod:`repro.durable`; these bytes must keep reading.
+#: Written (with ``ts`` fixed) by the ledger writer that predates
+#: :mod:`repro.durable`, and by the journal writer of whole ticket
+#: documents; these bytes must keep reading.
 JOURNAL_LINE = (
+    '{"checksum": "e4b9606269611975", "format": "repro-journal-v2", '
+    '"seq": 1, "ticket": {"attempt": 0, "coalesced": 0, "created": '
+    '1760000000.0, "error": null, "failure": null, "fingerprint": '
+    '"fp-wc", "finished": null, "id": "job-000007", "recovered": false, '
+    '"request": {"kind": "explain", "scale": "small", "workload": "wc"}, '
+    '"requeues": 0, "result": null, "started": null, "state": "queued", '
+    '"submission": "sub-1", "trace": "t-1"}, "ts": 1760000000.25}'
+)
+#: An accept record of the per-event journal format this one replaced:
+#: it verifies, but must read as corrupt and never be trusted.
+JOURNAL_V1_LINE = (
     '{"checksum": "203d004ab1059f37", "data": {"created": 1760000000.0, '
     '"fingerprint": "fp-wc", "id": "job-000007", "request": {"kind": '
     '"explain", "scale": "small", "workload": "wc"}, "submission": '
@@ -32,13 +45,12 @@ LEDGER_LINE = (
 def _journal_segment(tmp_path) -> tuple[str, object]:
     journal = JobJournal(str(tmp_path / "j"))
     for n in range(1, 4):
-        journal.append("accept", {
-            "id": f"job-{n:06d}", "request": {"kind": "table"},
-            "fingerprint": f"fp-{n}", "created": 1000.0 + n,
-        })
+        journal.append(asdict(Ticket(
+            id=f"job-{n:06d}", request={"kind": "table"},
+            fingerprint=f"fp-{n}", created=1000.0 + n,
+        )))
     journal.close()
-    return os.path.join(journal.root, "segment-000001.jsonl"), \
-        _is_journal_record
+    return journal.path, _is_journal_record
 
 
 def _ledger(tmp_path) -> tuple[str, object]:
@@ -80,7 +92,7 @@ def test_reader_survives_every_truncation_and_byte_flip(tmp_path, build):
 
 
 def test_checked_in_lines_verify():
-    for line in (JOURNAL_LINE, LEDGER_LINE):
+    for line in (JOURNAL_LINE, JOURNAL_V1_LINE, LEDGER_LINE):
         record = json.loads(line)
         assert record["checksum"] == durable.record_checksum(record)
         assert durable.seal(dict(record)) == line
@@ -89,9 +101,9 @@ def test_checked_in_lines_verify():
 def test_checked_in_journal_replays_to_the_same_tickets(tmp_path):
     root = tmp_path / "j"
     root.mkdir()
-    (root / "segment-000001.jsonl").write_text(JOURNAL_LINE + "\n")
+    (root / "journal.jsonl").write_text(JOURNAL_LINE + "\n")
     replay = JobJournal(str(root)).replay()
-    assert (replay.records, replay.corrupt, replay.max_id) == (1, 0, 7)
+    assert (replay.records, replay.corrupt) == (1, 0)
     assert replay.ticket_states() == [{
         "id": "job-000007",
         "request": {"kind": "explain", "scale": "small", "workload": "wc"},
@@ -100,6 +112,15 @@ def test_checked_in_journal_replays_to_the_same_tickets(tmp_path):
         "finished": None, "coalesced": 0, "attempt": 0, "requeues": 0,
         "recovered": False, "result": None, "error": None, "failure": None,
     }]
+
+
+def test_v1_journal_line_reads_as_corrupt(tmp_path):
+    root = tmp_path / "j"
+    root.mkdir()
+    (root / "journal.jsonl").write_text(JOURNAL_V1_LINE + "\n")
+    replay = JobJournal(str(root)).replay()
+    assert (replay.records, replay.corrupt) == (0, 1)
+    assert replay.ticket_states() == []
 
 
 def test_checked_in_ledger_reads_and_extends(tmp_path):

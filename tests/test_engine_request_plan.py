@@ -38,9 +38,9 @@ class TestRequestPlan:
             request_plan({"kind": "tune"})
 
 
-def test_explain_job_matches_direct_explain(tmp_path):
-    """The engine-lowered explain renders the same text as the API."""
-    from repro.diagnose.explain import explain
+def test_explain_job_matches_direct_explain(tmp_path, capsys):
+    """``repro explain`` prints exactly the engine-lowered explain job."""
+    from repro.cli import main
 
     cache_dir = str(tmp_path / "cache")
     values = run_jobs(
@@ -49,6 +49,6 @@ def test_explain_job_matches_direct_explain(tmp_path):
         cache_dir=cache_dir,
         use_cache=True,
     )
-    direct = explain("wc", scale="small", top=3, cache_dir=cache_dir,
-                     use_cache=True)
-    assert values["explain:wc"] == direct
+    assert main(["explain", "wc", "--scale", "small", "--top", "3",
+                 "--cache-dir", cache_dir]) == 0
+    assert capsys.readouterr().out == values["explain:wc"] + "\n"

@@ -219,17 +219,19 @@ class TestKillPoints:
 
 class TestSignals:
     def _journal_with_backlog(self, root):
+        from dataclasses import asdict
+
         from repro.service.journal import JobJournal
+        from repro.service.queue import Ticket
         from repro.service.schemas import normalize_request, \
             request_fingerprint
 
         journal = JobJournal(root)
         request = normalize_request(REQUEST)
-        journal.append("accept", {
-            "id": "job-000001", "request": request,
-            "fingerprint": request_fingerprint(request),
-            "submission": None, "created": time.time(),
-        })
+        journal.append(asdict(Ticket(
+            id="job-000001", request=request,
+            fingerprint=request_fingerprint(request),
+        )))
         journal.close()
 
     def test_healthz_503_for_entire_replay_window_then_sigterm(
@@ -332,3 +334,5 @@ class TestSignals:
             if second.poll() is None:
                 second.kill()
                 second.wait(timeout=10.0)
+        # Two serve runs and a replay compaction leave one file.
+        assert sorted(os.listdir(journal)) == [".lock", "journal.jsonl"]

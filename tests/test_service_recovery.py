@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+from dataclasses import asdict
 
 import pytest
 
@@ -24,6 +25,7 @@ from repro.service import (
     ServiceClient,
     ServiceError,
     ServiceWatchdog,
+    Ticket,
 )
 from repro.service.client import RetryPolicy
 from repro.service.journal import JobJournal
@@ -63,31 +65,25 @@ class TestRestartRecovery:
         journal = JobJournal(root)
         req1, req2, req3 = _request("table6"), _request("table7"), \
             _request("table1")
-        journal.append("accept", {
-            "id": "job-000001", "request": req1,
-            "fingerprint": request_fingerprint(req1),
-            "submission": None, "created": 1000.0,
-        })
-        journal.append("start", {"id": "job-000001", "attempt": 0,
-                                 "started": 1000.5})
-        journal.append("finish", {
-            "id": "job-000001", "state": "done", "finished": 1001.0,
-            "result": {"output": "done-before-crash", "detail": {},
-                       "receipt": {"attempt": 0}},
-            "error": None, "failure": None,
-        })
-        journal.append("accept", {
-            "id": "job-000002", "request": req2,
-            "fingerprint": request_fingerprint(req2),
-            "submission": None, "created": 1002.0,
-        })
-        journal.append("start", {"id": "job-000002", "attempt": 0,
-                                 "started": 1002.5})
-        journal.append("accept", {
-            "id": "job-000003", "request": req3,
-            "fingerprint": request_fingerprint(req3),
-            "submission": "sub-lost-202", "created": 1003.0,
-        })
+        first = Ticket(id="job-000001", request=req1,
+                       fingerprint=request_fingerprint(req1), created=1000.0)
+        journal.append(asdict(first))
+        first.state, first.started = "running", 1000.5
+        journal.append(asdict(first))
+        first.state, first.finished = "done", 1001.0
+        first.result = {"output": "done-before-crash", "detail": {},
+                        "receipt": {"attempt": 0}}
+        journal.append(asdict(first))
+        second = Ticket(id="job-000002", request=req2,
+                        fingerprint=request_fingerprint(req2), created=1002.0)
+        journal.append(asdict(second))
+        second.state, second.started = "running", 1002.5
+        journal.append(asdict(second))
+        journal.append(asdict(Ticket(
+            id="job-000003", request=req3,
+            fingerprint=request_fingerprint(req3),
+            submission="sub-lost-202", created=1003.0,
+        )))
         journal.close()
 
     def test_replay_restores_serves_and_reexecutes(self, tmp_path):
@@ -136,7 +132,7 @@ class TestRestartRecovery:
         finally:
             service.shutdown(timeout=10.0)
 
-    def test_replay_compacts_journal_to_one_segment(self, tmp_path):
+    def test_replay_compacts_journal_to_one_file(self, tmp_path):
         import os
 
         root = str(tmp_path / "journal")
@@ -150,9 +146,7 @@ class TestRestartRecovery:
             _wait_recovered(service)
         finally:
             service.shutdown(timeout=10.0)
-        segments = [name for name in os.listdir(root)
-                    if name.startswith("segment-")]
-        assert len(segments) == 1
+        assert sorted(os.listdir(root)) == [".lock", "journal.jsonl"]
 
     def test_empty_journal_recovers_to_clean_service(self, tmp_path):
         service = ExperimentService(

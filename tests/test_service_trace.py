@@ -169,17 +169,10 @@ class TestTraceJournalReplay:
         finally:
             assert service.shutdown(timeout=10.0)
 
-        # The journal's accept record carries the trace id on disk.
-        stamped = []
-        for name in os.listdir(journal_dir):
-            if not name.endswith(".jsonl"):
-                continue
-            with open(os.path.join(journal_dir, name)) as handle:
-                for line in handle:
-                    record = json.loads(line)
-                    if record.get("event") in ("accept", "snapshot"):
-                        stamped.append(record["data"].get("trace"))
-        assert TRACE_ID in stamped
+        # The journal's ticket records carry the trace id on disk.
+        with open(os.path.join(journal_dir, "journal.jsonl")) as handle:
+            stamped = [json.loads(line)["ticket"]["trace"] for line in handle]
+        assert stamped and set(stamped) == {TRACE_ID}
 
         # A restarted daemon replays the job with its trace intact.
         service = ExperimentService(
