@@ -105,13 +105,15 @@ def simulate_paging(
         distinct_pages=len(np.unique(pages)),
     )
     # The fill unit is a page and the real cache *is* fully-associative
-    # LRU, so classification degenerates to compulsory + capacity — a
-    # useful degenerate case the 3C tests pin (conflict == 0).
+    # LRU, so its faults serve as the 3C shadow and classification
+    # degenerates to compulsory + capacity — a useful degenerate case
+    # the 3C tests pin (conflict == 0).
     probe = new_probe(page_bytes, page_bytes * resident_pages)
     if obs.current().enabled or probe is not None:
         if probe is not None:
-            probe.positions = positions.tolist()
-            probe.evictors = evicted.tolist()
+            probe.positions = positions
+            probe.evictors = evicted
+            probe.fully_associative = True
         # Per-page fault counts (sparse: page number -> faults), in
         # first-fault order.
         page_faults = dict(Counter(pages[positions].tolist()))

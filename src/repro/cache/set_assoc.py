@@ -51,8 +51,10 @@ def simulate_set_associative(
     if not recorder.enabled and probe is None:
         return stats
     if probe is not None:
-        probe.positions = positions.tolist()
-        probe.evictors = evicted.tolist()
+        probe.positions = positions
+        probe.evictors = evicted
+        # One set at block granularity is the 3C shadow's own geometry.
+        probe.fully_associative = num_sets == 1
     set_misses = np.bincount(
         blocks[positions] & (num_sets - 1), minlength=num_sets
     ).tolist()

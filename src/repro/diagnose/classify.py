@@ -33,7 +33,11 @@ blocks for direct/set-associative/prefetching caches, sectors for the
 sectored cache, 4-byte words for partial loading, pages for paging.  The
 shadow is a fully-associative LRU cache of the same byte capacity
 organised in those granules, simulated by the one LRU model of
-:mod:`repro.cache.lru`.
+:mod:`repro.cache.lru`; a simulator that *is* that cache (fully
+associative LRU at the shadow's granule and capacity) marks its probe,
+and its own misses serve as the shadow.  First touches are found on the
+granule transitions only (a first touch always changes granule), so the
+classifier never sorts the full trace.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.cache.lru import lru_misses
+from repro.cache.lru import lru_misses, transitions
 
 __all__ = [
     "Attribution",
@@ -58,19 +62,25 @@ class MissProbe:
     ``positions`` are indices into the simulated address trace, one per
     miss, in trace order.  ``evictors`` is parallel: the granule number
     previously resident in the frame this miss displaced (``-1`` when the
-    frame was empty — a cold fill evicts nobody).  ``granule_bytes`` is
-    the simulator's fill unit (block, sector, word, or page) and
-    ``capacity_bytes`` the total capacity the fully-associative shadow
-    should be given.
+    frame was empty — a cold fill evicts nobody).  Both are lists filled
+    by :meth:`miss`, or int64 arrays a vectorised simulator hands over
+    whole.  ``granule_bytes`` is the simulator's fill unit (block,
+    sector, word, or page) and ``capacity_bytes`` the total capacity the
+    fully-associative shadow should be given.  ``fully_associative``
+    marks a simulator that is itself that shadow (an LRU cache of one
+    set at the same granule and capacity), so its misses are reused as
+    the shadow's instead of simulated twice.
     """
 
-    __slots__ = ("granule_bytes", "capacity_bytes", "positions", "evictors")
+    __slots__ = ("granule_bytes", "capacity_bytes", "positions", "evictors",
+                 "fully_associative")
 
     def __init__(self, granule_bytes: int, capacity_bytes: int) -> None:
         self.granule_bytes = granule_bytes
         self.capacity_bytes = capacity_bytes
-        self.positions: list[int] = []
-        self.evictors: list[int] = []
+        self.positions: list[int] | np.ndarray = []
+        self.evictors: list[int] | np.ndarray = []
+        self.fully_associative = False
 
     def miss(self, position: int, evicted: int = -1) -> None:
         """Record one miss at trace ``position`` displacing ``evicted``."""
@@ -205,9 +215,15 @@ def fully_associative_miss_positions(
 
 
 def _first_touch_positions(granules: np.ndarray) -> np.ndarray:
-    """The position of the first access to each distinct granule."""
-    _, first = np.unique(granules, return_index=True)
-    return np.sort(first)
+    """The position of the first access to each distinct granule.
+
+    A first touch always changes granule, so only the transitions are
+    searched, and their first occurrences map back through the
+    transition positions.
+    """
+    steps = transitions(granules)
+    _, first = np.unique(granules[steps], return_index=True)
+    return steps[np.sort(first)]
 
 
 def attribute(
@@ -233,9 +249,12 @@ def attribute(
     granules = addresses >> shift
     capacity_granules = max(1, probe.capacity_bytes // probe.granule_bytes)
 
-    shadow = fully_associative_miss_positions(granules, capacity_granules)
-    first_touch = _first_touch_positions(granules)
     miss_positions = np.asarray(probe.positions, dtype=np.int64)
+    if probe.fully_associative:
+        shadow = miss_positions
+    else:
+        shadow = fully_associative_miss_positions(granules, capacity_granules)
+    first_touch = _first_touch_positions(granules)
     evictors = np.asarray(probe.evictors, dtype=np.int64)
 
     # Membership tests via searchsorted: every array is sorted & unique

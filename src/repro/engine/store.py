@@ -174,8 +174,9 @@ def artifact_key(
 class ArtifactPayload:
     """What one store entry holds, independent of its on-disk encoding."""
 
-    profiles: dict            # name -> serialised ProfileData document
-    arrays: dict[str, np.ndarray]
+    # Both None in a payload read with ``get(key, decode=False)``.
+    profiles: dict | None     # name -> serialised ProfileData document
+    arrays: dict[str, np.ndarray] | None
     meta: dict = field(default_factory=dict)
 
 
@@ -335,15 +336,20 @@ class ArtifactStore:
 
     # -- lookup ------------------------------------------------------------
 
-    def get(self, key: str) -> ArtifactPayload | None:
+    def get(self, key: str, decode: bool = True) -> ArtifactPayload | None:
         """Load and verify an entry, or ``None`` (a miss) if absent/corrupt.
 
         Corrupt entries (bad checksum, truncated archive, unparsable
         JSON, missing manifest) are quarantined so the next lookup pays
-        only a directory miss, not another failed parse.
+        only a directory miss, not another failed parse.  With
+        ``decode=False`` the entry is verified and its hit recorded
+        exactly as on a full read, but the payload files are not decoded:
+        the payload carries ``meta`` only (``profiles`` and ``arrays``
+        are ``None``).  That serves a caller that already holds what
+        these checksum-identical bytes decode to.
         """
         try:
-            meta, profiles, arrays = self._read_entry(key)
+            meta, profiles, arrays = self._read_entry(key, decode)
         except _EntryCorrupt:
             self._quarantine(key)
             self.misses += 1
@@ -362,14 +368,29 @@ class ArtifactStore:
             )
         return ArtifactPayload(profiles=profiles, arrays=arrays, meta=meta)
 
-    def _read_entry(self, key: str) -> tuple[dict, dict, dict]:
-        """Read and verify one entry's three files.
+    def _read_entry(
+        self, key: str, decode: bool = True
+    ) -> tuple[dict, dict | None, dict | None]:
+        """Read, verify and (with ``decode``) decode one entry.
 
         Raises :class:`_EntryCorrupt` for an entry that is present but
-        fails verification, and lets absence errors (``FileNotFoundError``
-        from the first open) propagate for the caller to treat as a plain
-        miss.
+        fails verification or decoding, and lets absence errors
+        (``FileNotFoundError`` from the first open) propagate for the
+        caller to treat as a plain miss.
         """
+        meta, payload_bytes = self._verified_bytes(key)
+        if not decode:
+            return meta, None, None
+        try:
+            profiles = json.loads(payload_bytes["profiles.json"])
+            with np.load(io.BytesIO(payload_bytes["arrays.npz"])) as npz:
+                arrays = {name: npz[name] for name in npz.files}
+        except Exception as exc:
+            raise _EntryCorrupt(str(exc)) from exc
+        return meta, profiles, arrays
+
+    def _verified_bytes(self, key: str) -> tuple[dict, dict[str, bytes]]:
+        """One entry's manifest and its payload files' checksummed bytes."""
         entry_dir = self._entry_dir(key)
         with open(os.path.join(entry_dir, "meta.json"), "rb") as handle:
             meta_bytes = handle.read()
@@ -388,9 +409,6 @@ class ArtifactStore:
                 payload_bytes[name] = data
             if faults.fires("corrupt", "store-read", key):
                 raise ValueError(f"injected corruption reading {key}")
-            profiles = json.loads(payload_bytes["profiles.json"])
-            with np.load(io.BytesIO(payload_bytes["arrays.npz"])) as npz:
-                arrays = {name: npz[name] for name in npz.files}
         except FileNotFoundError as exc:
             # A payload file vanished after meta.json was read.  If the
             # whole entry is gone this is a concurrent eviction — a clean
@@ -403,7 +421,7 @@ class ArtifactStore:
             raise
         except Exception as exc:
             raise _EntryCorrupt(str(exc)) from exc
-        return meta, profiles, arrays
+        return meta, payload_bytes
 
     def _quarantine(self, key: str) -> None:
         """Move a corrupt entry aside (never delete evidence)."""

@@ -15,10 +15,11 @@ executing **zero** interpreter steps (a
 
 Hydrated artifacts are also kept in a bounded process-wide memo, so a
 long-lived process (``repro serve``, a benchmark loop) rebuilds and
-re-places each stored entry once, not once per request.  The memo is
-consulted only after the store has returned a verified entry, so store
-hit/miss accounting, quarantine and ``repro cache clear`` see every
-lookup exactly as without it.
+re-places each stored entry once, not once per request.  A memo entry
+is used only after the store has verified the entry's bytes (on a memo
+hit the store skips decoding them), so store hit/miss accounting,
+quarantine and ``repro cache clear`` see every lookup exactly as
+without it.
 """
 
 from __future__ import annotations
@@ -168,7 +169,10 @@ class ExperimentRunner:
                     # re-registered with other inputs is another program.
                     memo_key = (workload, self.scale, self.options,
                                 self.store.root)
-                    payload = self.store.get(key)
+                    memoized = _memo_get(memo_key)
+                    # A memoized hydration came from these very bytes,
+                    # so the entry is only verified, not decoded again.
+                    payload = self.store.get(key, decode=memoized is None)
                     if payload is None:
                         # Cold entry: take its compute lock, so a
                         # concurrent build of this exact configuration is
@@ -177,7 +181,7 @@ class ExperimentRunner:
                             self.store.computing(key)
                         )
                     if payload is not None:
-                        art = _memo_get(memo_key)
+                        art = memoized
                         if art is not None:
                             memo_hits = 1
                             recorder.count("artifacts_memo_hits", 1)

@@ -93,11 +93,17 @@ class Ticket:
     result: dict | None = None    # {"output": ..., "receipt": ...}
     error: str | None = None
     submission: str | None = None  # client idempotency key, if sent
+    aliases: list[str] = field(default_factory=list)  # coalesced keys
     trace: str | None = None      # end-to-end trace id for this request
     attempt: int = 0              # execution epoch; bumps on requeue
     requeues: int = 0             # how many attempts were reaped/retried
     recovered: bool = False       # re-enqueued by journal replay
     failure: dict | None = None   # structured cause once failed
+
+    def submission_keys(self) -> list[str]:
+        """Every idempotency key that maps to this ticket."""
+        keys = [self.submission] if self.submission else []
+        return keys + self.aliases
 
     def status_doc(self) -> dict:
         """The JSON document ``GET /v1/jobs/<id>`` returns."""
@@ -197,6 +203,9 @@ class JobQueue:
             if existing is not None:
                 existing.coalesced += 1
                 if submission:
+                    # Journaled with the ticket, so a retry with this key
+                    # re-matches it after a restart too.
+                    existing.aliases.append(submission)
                     self._by_submission[submission] = existing.id
                 self._journal(existing)
                 return existing, False
@@ -237,10 +246,9 @@ class JobQueue:
         for ticket_id in finished[: max(0, len(finished)
                                         - self.keep_finished)]:
             ticket = self._tickets.pop(ticket_id)
-            if (ticket.submission
-                    and self._by_submission.get(ticket.submission)
-                    == ticket_id):
-                del self._by_submission[ticket.submission]
+            for key in ticket.submission_keys():
+                if self._by_submission.get(key) == ticket_id:
+                    del self._by_submission[key]
 
     # -- worker side -------------------------------------------------------
 
@@ -391,10 +399,11 @@ class JobQueue:
         results and errors are served to pollers as if nothing
         happened).  Queued tickets and orphaned ``running`` tickets —
         the ones a dead daemon never finished — are re-enqueued with
-        ``recovered`` set, keeping their ids, fingerprints, and
-        submission keys, so both coalescing and idempotent retry keep
-        working across the restart.  The id counter resumes past the
-        highest restored id.  Returns a summary for ``/v1/recovery``.
+        ``recovered`` set, keeping their ids and fingerprints.  Every
+        ticket's submission keys, coalesced ones included, map back to
+        it, so both coalescing and idempotent retry keep working across
+        the restart.  The id counter resumes past the highest restored
+        id.  Returns a summary for ``/v1/recovery``.
         """
         restored = {"done": 0, "failed": 0, "requeued": 0,
                     "orphaned_running": 0, "recovered_ids": []}
@@ -419,8 +428,8 @@ class JobQueue:
                     self._inflight_by_fp[ticket.fingerprint] = ticket
                     self._pending.append(ticket)
                 self._tickets[ticket.id] = ticket
-                if ticket.submission:
-                    self._by_submission[ticket.submission] = ticket.id
+                for key in ticket.submission_keys():
+                    self._by_submission[key] = ticket.id
             if max_id:
                 self._ids = itertools.count(max_id + 1)
             self._work.notify_all()

@@ -70,8 +70,8 @@ def _sparse(set_misses) -> dict[int, int]:
 
 def _assert_agrees(misses, capture, reference) -> None:
     assert misses == reference.misses
-    assert capture.probe.positions == reference.positions
-    assert capture.probe.evictors == reference.evictors
+    assert list(capture.probe.positions) == reference.positions
+    assert list(capture.probe.evictors) == reference.evictors
     assert _sparse(capture.set_misses) == reference.set_misses
 
 

@@ -52,8 +52,8 @@ class TestLru:
         trace = [0, 64, 0, 128, 0, 64]
         stats, capture = observe(simulate_set_associative, trace, 128, 64, 2)
         assert stats.misses == 4
-        assert capture.probe.positions == [0, 1, 3, 5]
-        assert capture.probe.evictors == [-1, -1, 1, 2]
+        assert list(capture.probe.positions) == [0, 1, 3, 5]
+        assert list(capture.probe.evictors) == [-1, -1, 1, 2]
 
     def test_one_way_matches_direct_mapped(self):
         trace = [(i * 100) % 8192 for i in range(2000)]

@@ -12,6 +12,7 @@ import os
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 from repro import obs
@@ -249,3 +250,38 @@ def test_threads_explaining_concurrently_agree(tmp_path):
         shared.setdefault(name, set()).add(art_id)
     # Every racing hydration handed back the one admitted entry.
     assert all(len(ids) == 1 for ids in shared.values())
+
+
+def test_memo_hit_verifies_the_entry_without_decoding_it(
+    tmp_path, monkeypatch
+):
+    store_dir = str(tmp_path)
+    explain("wc", store_dir)
+    explain("wc", store_dir)           # hydrates and fills the memo
+
+    def no_decode(*args, **kwargs):
+        raise AssertionError("a memo hit decoded the entry")
+
+    monkeypatch.setattr(np, "load", no_decode)
+    _output, totals = explain("wc", store_dir)
+    assert (totals["store_hits"], totals["memo_hits"]) == (1, 1)
+    assert entry_hits(store_dir, "wc") == 2
+
+
+def test_memo_hit_on_a_damaged_entry_is_a_quarantined_miss(tmp_path):
+    store_dir = str(tmp_path)
+    expected, _ = explain("tee", store_dir)
+    explain("tee", store_dir)          # hydrates and fills the memo
+    key = artifact_key("tee", SCALE, PlacementOptions().opt)
+    profiles = os.path.join(store_dir, "objects", key, "profiles.json")
+    with open(profiles, "ab") as handle:
+        handle.write(b" ")
+    store = ArtifactStore(store_dir)
+    runner = ExperimentRunner(scale=SCALE, store=store,
+                              telemetry=Telemetry())
+    runner.artifacts("tee")
+    assert store.quarantined == 1
+    totals = runner.telemetry.totals()
+    assert (totals["store_misses"], totals["memo_hits"]) == (1, 0)
+    assert totals["interp_instructions"] > 0
+    assert explain("tee", store_dir)[0] == expected

@@ -282,6 +282,39 @@ def test_restore_rebuilds_the_live_tickets(tmp_path):
     reopened.close()
 
 
+def test_coalesced_submission_key_survives_a_restart(tmp_path):
+    journal = JobJournal(str(tmp_path / "j"))
+    queue = JobQueue(depth=8, journal=journal)
+    request = {"kind": "table", "table": "table6"}
+    first, created = queue.submit(request, "fp-1", submission="k1")
+    assert (first.id, created) == ("job-000001", True)
+    coalesced, created = queue.submit(request, "fp-1", submission="k2")
+    assert (coalesced.id, created) == ("job-000001", False)
+    claimed = queue.claim(timeout=1.0)
+    assert queue.finish(claimed, result={"output": "x"})
+    journal.close()
+
+    reopened = JobJournal(str(tmp_path / "j"))
+    restored = JobQueue(depth=8, journal=reopened)
+    restored.restore(reopened.replay().ticket_states())
+    for key in ("k1", "k2"):
+        ticket, created = restored.submit(request, "fp-1", submission=key)
+        assert (ticket.id, created) == ("job-000001", False)
+        assert ticket.result == {"output": "x"}
+    reopened.close()
+
+
+def test_ticket_doc_without_aliases_restores_its_key():
+    """A journaled ticket from before coalesced keys were recorded."""
+    doc = _doc("job-000003", submission="k1")
+    del doc["aliases"]
+    queue = JobQueue(depth=8)
+    queue.restore([doc])
+    ticket, created = queue.submit({}, "fp-other", submission="k1")
+    assert (ticket.id, created) == ("job-000003", False)
+    assert ticket.aliases == []
+
+
 class TestOwnership:
     def test_second_daemon_locked_out(self, tmp_path):
         journal = JobJournal(str(tmp_path / "j"))
