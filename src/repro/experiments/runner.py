@@ -13,22 +13,29 @@ later build — under any placement options, in any process — only places,
 executing **zero** interpreter steps (a
 :class:`~repro.engine.telemetry.Telemetry` observes exactly that).
 
+The layouts every cache table replays (optimized and natural, unscaled)
+each get one :class:`LayoutReplay` slot on their
+:class:`WorkloadArtifacts`: the linked image, its symbol table and the
+fetch addresses, filled on first use and then only read.
+
 Hydrated artifacts are also kept in a bounded process-wide memo, so a
 long-lived process (``repro serve``, a benchmark loop) rebuilds and
-re-places each stored entry once, not once per request.  A memo entry
-is used only after the store has verified the entry's bytes (on a memo
-hit the store skips decoding them), so store hit/miss accounting,
-quarantine and ``repro cache clear`` see every lookup exactly as
-without it.
+re-places each stored entry once, not once per request, and links and
+expands each replayed layout once, not once per request: the slots
+travel with the memoized artifacts.  A memo entry is used only after
+the store has verified the entry's bytes (on a memo hit the store skips
+decoding them), so store hit/miss accounting, quarantine and ``repro
+cache clear`` see every lookup exactly as without it.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,7 +63,8 @@ from repro.placement.scaling import scaled_sizes
 from repro.workloads.registry import Workload, get_workload, workload_names
 
 __all__ = [
-    "WorkloadArtifacts", "ExperimentRunner", "clear_memo", "default_runner",
+    "LayoutReplay", "WorkloadArtifacts", "ExperimentRunner", "clear_memo",
+    "default_runner",
 ]
 
 #: Safety net for runaway workloads during experiments.
@@ -65,6 +73,38 @@ MAX_TRACE_INSTRUCTIONS = 200_000_000
 #: Hydrated artifacts the process-wide memo keeps (least recently used
 #: evicted first); room for every bundled workload at one configuration.
 MEMO_CAPACITY = 16
+
+#: The layouts every cache table replays unscaled; each gets one
+#: :class:`LayoutReplay` slot per artifacts.
+REPLAYED_LAYOUTS = ("optimized", "natural")
+
+#: Layouts of the post-inline program (the others place the original).
+_INLINED_LAYOUTS = ("optimized", "conflict_aware")
+
+
+@dataclass(eq=False)
+class LayoutReplay:
+    """One layout's linked image and the trace's fetch addresses under it.
+
+    A slot's ``addresses`` are a read-only ``uint32`` array (half the
+    memory of the ``int64`` the simulators take; see
+    :meth:`ExperimentRunner.addresses`).
+    """
+
+    image: MemoryImage
+    addresses: np.ndarray
+    selections: dict | None = None   # trace labels, on inlined layouts
+
+    @functools.cached_property
+    def symbols(self) -> diagnose.SymbolTable:
+        """The address->symbol map attributions resolve misses through
+        (built on first use: only attributed runs need it)."""
+        return diagnose.SymbolTable.from_image(self.image, self.selections)
+
+    def fetches(self) -> np.ndarray:
+        """The fetch addresses as ``int64``, the simulators' input (a
+        copy of a slot's read-only ``uint32`` array)."""
+        return self.addresses.astype(np.int64, copy=False)
 
 
 @dataclass
@@ -76,6 +116,10 @@ class WorkloadArtifacts:
     placement: PlacementResult
     trace: BlockTrace             # on the post-inline program
     original_trace: BlockTrace    # on the original (uninlined) program
+    #: One slot per :data:`REPLAYED_LAYOUTS` entry, filled on first use.
+    replays: dict[str, LayoutReplay] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     @property
     def program(self) -> Program:
@@ -124,7 +168,8 @@ def _memo_admit(key: tuple, art: WorkloadArtifacts) -> WorkloadArtifacts:
 
 
 class ExperimentRunner:
-    """Caches per-workload artifacts and derived address traces.
+    """Caches per-workload artifacts; their replay slots hold the
+    derived address traces.
 
     ``store`` (optional) persists artifacts across processes; ``telemetry``
     (optional) records one job per artifact build with its wall time,
@@ -143,7 +188,6 @@ class ExperimentRunner:
         self.store = store
         self.telemetry = telemetry
         self._artifacts: dict[str, WorkloadArtifacts] = {}
-        self._addresses: dict[tuple, np.ndarray] = {}
 
     def names(self) -> list[str]:
         """The benchmark names, in paper table order."""
@@ -353,6 +397,8 @@ class ExperimentRunner:
         """
         art = self.artifacts(name)
         if layout == "optimized":
+            if scaling == 1.0:
+                return art.image      # the placement already linked it
             program = art.program
             order = art.placement.order
         elif layout == "natural":
@@ -385,52 +431,61 @@ class ExperimentRunner:
         sizes = scaled_sizes(program, scaling) if scaling != 1.0 else None
         return MemoryImage.build(program, order, sizes=sizes)
 
+    def replay(
+        self, name: str, layout: str = "optimized",
+        scaling: float = 1.0, seed: int = 0,
+    ) -> LayoutReplay:
+        """The workload's trace replayed under a layout (see
+        :meth:`image_for` for the layouts).
+
+        The :data:`REPLAYED_LAYOUTS` at scaling 1.0 return the
+        artifacts' slot, linked and expanded once: memoized artifacts
+        share it process-wide.  Other layouts and scalings are built
+        afresh on every call.
+        """
+        art = self.artifacts(name)
+        shared = scaling == 1.0 and layout in REPLAYED_LAYOUTS
+        if shared and layout in art.replays:
+            return art.replays[layout]
+        with obs.current().span("addresses", cat="pipeline",
+                                workload=name, layout=layout):
+            image = self.image_for(name, layout, scaling, seed)
+            inlined = layout in _INLINED_LAYOUTS
+            trace = art.trace if inlined else art.original_trace
+            addresses = trace.addresses(image)
+        # Trace labels: only the post-inline program went through trace
+        # selection.
+        selections = art.placement.selections if inlined else None
+        if not shared:
+            return LayoutReplay(image, addresses, selections)
+        if image.total_bytes >= 2**32:
+            raise OverflowError(
+                f"{name}: a {image.total_bytes}-byte image does not fit "
+                "uint32 fetch addresses"
+            )
+        addresses = addresses.astype(np.uint32)
+        addresses.flags.writeable = False
+        # A racing fill keeps the slot stored first.
+        return art.replays.setdefault(
+            layout, LayoutReplay(image, addresses, selections)
+        )
+
     def addresses(
         self, name: str, layout: str = "optimized",
         scaling: float = 1.0, seed: int = 0,
     ) -> np.ndarray:
-        """The instruction-fetch address trace under a layout (cached for
-        the unscaled optimized and natural layouts, which every cache table
-        replays)."""
-        key = (name, layout, scaling, seed)
+        """The instruction-fetch address trace under a layout, as a fresh
+        ``int64`` array the caller owns (from :meth:`replay`'s slot for
+        the layouts every cache table replays).
+
+        Under an attribution collector, the layout's symbol table is
+        registered into it for unscaled layouts.
+        """
+        replay = self.replay(name, layout, scaling, seed)
         collector = diagnose.current()
-        # A cached trace can only short-circuit when no attribution is
-        # running: each Collector needs the symbol table registered into
-        # *it*, so a cache hit still rebuilds the (cheap) image below.
-        if key in self._addresses and not (
-            collector.enabled and scaling == 1.0
-        ):
-            return self._addresses[key]
-        art = self.artifacts(name)
-        recorder = obs.current()
-        with recorder.span("addresses", cat="pipeline",
-                           workload=name, layout=layout):
-            image = self.image_for(name, layout, scaling, seed)
-            if key in self._addresses:
-                addresses = self._addresses[key]
-            else:
-                trace = (
-                    art.trace if layout in ("optimized", "conflict_aware")
-                    else art.original_trace
-                )
-                addresses = trace.addresses(image)
         if collector.enabled and scaling == 1.0:
-            # The address->symbol map every attribution under this
-            # (workload, layout) resolves misses through.  Trace labels
-            # come from the placement selections on optimized layouts
-            # (natural/random images are of the pre-trace-selection
-            # program, which has no selections).
-            selections = (
-                art.placement.selections
-                if layout in ("optimized", "conflict_aware") else None
-            )
-            collector.register_symbols(
-                name, layout,
-                diagnose.SymbolTable.from_image(image, selections),
-            )
-        if scaling == 1.0 and layout in ("optimized", "natural"):
-            self._addresses[key] = addresses
-        return addresses
+            collector.register_symbols(name, layout, replay.symbols)
+        return replay.fetches()
 
 
 _DEFAULT_RUNNER: ExperimentRunner | None = None

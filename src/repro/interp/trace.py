@@ -82,8 +82,10 @@ def expand_addresses(
     total = int(lengths.sum())
     if total == 0:
         return np.empty(0, dtype=np.int64)
-    # Offsets within each run: arange(total) minus each run's start index.
-    ends = np.cumsum(lengths)
-    run_starts = np.repeat(ends - lengths, lengths)
-    within = np.arange(total, dtype=np.int64) - run_starts
-    return np.repeat(bases, lengths) + INSTRUCTION_BYTES * within
+    # Fetch i of the entry starting at trace position s is at
+    # base + 4*(i - s): one repeat of (base - 4*s) plus a global ramp.
+    starts = np.cumsum(lengths) - lengths
+    return (
+        np.repeat(bases - INSTRUCTION_BYTES * starts, lengths)
+        + INSTRUCTION_BYTES * np.arange(total, dtype=np.int64)
+    )

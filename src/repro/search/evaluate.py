@@ -127,13 +127,10 @@ def run_trial(params: dict, runner) -> dict:
         fingerprint=params["fingerprint"],
     ):
         for name in params["workloads"]:
-            art = runner.artifacts(name)
-            image = runner.image_for(name, layout)
-            trace = (
-                art.trace if layout in ("optimized", "conflict_aware")
-                else art.original_trace
-            )
-            addresses = trace.addresses(image)
+            # The replay, not just its addresses: the image's size is an
+            # objective too, and a non-slot layout is linked only once.
+            replay = runner.replay(name, layout)
+            addresses = replay.fetches()
             if associativity == 1:
                 stats = simulate_direct_vectorized(
                     addresses, cache_bytes, block_bytes
@@ -146,7 +143,7 @@ def run_trial(params: dict, runner) -> dict:
                 "miss_ratio": stats.miss_ratio,
                 "traffic_ratio": stats.traffic_ratio,
                 "accesses": int(stats.accesses),
-                "code_bytes": int(image.total_bytes),
+                "code_bytes": int(replay.image.total_bytes),
             }
 
     count = len(per_workload)

@@ -380,7 +380,7 @@ class ExperimentService:
             # Chaos point: a daemon killed here acknowledged nothing —
             # the client's idempotent retry must create the ticket.
             faults.maybe_fail("accept", fingerprint)
-            ticket, created = self.queue.submit(
+            ticket, outcome = self.queue.submit(
                 request, fingerprint, submission=submission, trace=trace
             )
         except QueueFull as exc:
@@ -398,16 +398,14 @@ class ExperimentService:
         except faults.FaultInjected as exc:
             self._count("service.failed_accepts")
             return 500, {}, {"error": str(exc)}
-        idempotent = (
-            not created and submission is not None
-            and ticket.submission == submission
-        )
-        if not created and not idempotent:
+        coalesced = outcome == "coalesced"
+        idempotent = outcome == "rematched"
+        if coalesced:
             self._count("service.coalesced")
         self.log.info(
             "accept", trace=ticket.trace, job=ticket.id,
             kind=request.get("kind"), fingerprint=fingerprint,
-            created=created, coalesced=not created and not idempotent,
+            created=outcome == "created", coalesced=coalesced,
             idempotent=idempotent,
         )
         # Chaos point: the accept is journaled but this 202 never
@@ -416,7 +414,7 @@ class ExperimentService:
         return 202, {}, {
             "id": ticket.id,
             "state": ticket.state,
-            "coalesced": not created and not idempotent,
+            "coalesced": coalesced,
             "idempotent": idempotent,
             "fingerprint": fingerprint,
             # A coalesced/idempotent submit reports the ticket's

@@ -178,14 +178,16 @@ class JobQueue:
         fingerprint: str,
         submission: str | None = None,
         trace: str | None = None,
-    ) -> tuple[Ticket, bool]:
+    ) -> tuple[Ticket, str]:
         """Accept (or coalesce, or idempotently re-match) one request.
 
-        Returns ``(ticket, created)``: ``created`` is False when the
-        submission coalesced onto an existing queued/running ticket or
-        re-matched its own earlier submission by key — in either case
-        the ticket keeps its original ``trace``, which is the trace
-        that will actually execute.  Raises :class:`QueueFull` past
+        Returns ``(ticket, outcome)``: ``outcome`` is ``"created"`` for
+        a new ticket, ``"coalesced"`` when the submission joined an
+        existing queued/running ticket, and ``"rematched"`` when its key
+        found the ticket an earlier submission with that key got
+        (created or coalesced onto) — in the last two cases the ticket
+        keeps its original ``trace``, which is the trace that will
+        actually execute.  Raises :class:`QueueFull` past
         ``depth`` accepted-unfinished tickets and :class:`QueueClosed`
         once draining.  With a journal, the ``accept`` record (trace id
         included) is durable before this returns.
@@ -198,7 +200,7 @@ class JobQueue:
                 if known is not None and known in self._tickets:
                     # A retried POST: same logical submission, whatever
                     # state its ticket reached.  Never a new execution.
-                    return self._tickets[known], False
+                    return self._tickets[known], "rematched"
             existing = self._inflight_by_fp.get(fingerprint)
             if existing is not None:
                 existing.coalesced += 1
@@ -208,7 +210,7 @@ class JobQueue:
                     existing.aliases.append(submission)
                     self._by_submission[submission] = existing.id
                 self._journal(existing)
-                return existing, False
+                return existing, "coalesced"
             accepted = len(self._pending) + self._running
             if accepted >= self.depth:
                 raise QueueFull(accepted, self._retry_after_locked())
@@ -229,7 +231,7 @@ class JobQueue:
             self._pending.append(ticket)
             self._trim_finished_locked()
             self._work.notify()
-            return ticket, True
+            return ticket, "created"
 
     def _retry_after_locked(self) -> float:
         """How long a 429'd client should wait: roughly one job's wall."""

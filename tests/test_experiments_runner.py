@@ -69,9 +69,15 @@ class TestInterpretOnce:
 
 class TestAddresses:
     def test_optimized_addresses_cached(self, small_runner):
+        # One slot, linked and expanded once; each call gets its own
+        # int64 copy of the slot's read-only addresses.
+        slot = small_runner.replay("wc", "optimized")
         a = small_runner.addresses("wc", "optimized")
         b = small_runner.addresses("wc", "optimized")
-        assert a is b
+        assert small_runner.replay("wc", "optimized") is slot
+        assert a is not b and a.dtype == np.int64
+        assert np.array_equal(a, b)
+        assert np.array_equal(a, slot.addresses)
 
     def test_scaled_addresses_not_cached(self, small_runner):
         a = small_runner.addresses("wc", "optimized", scaling=0.5)

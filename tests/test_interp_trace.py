@@ -1,6 +1,9 @@
 """Unit tests for block traces and fetch-address expansion."""
 
+from types import SimpleNamespace
+
 import numpy as np
+from hypothesis import example, given, settings, strategies as st
 
 from repro.interp.interpreter import run_program
 from repro.interp.trace import BlockTrace, expand_addresses
@@ -125,3 +128,52 @@ class TestLayoutSensitivity:
         assert addresses[2] == addresses[1] + 4
         # ...and the landing at f is NOT contiguous (t sits in between).
         assert addresses[3] != addresses[2] + 4
+
+
+def _expand_by_entry(block_ids, via, image) -> np.ndarray:
+    """The oracle: each trace entry's fetches, one entry at a time."""
+    out: list[int] = []
+    for bid, exit_kind in zip(block_ids, via):
+        base = int(image.fetch_base[bid])
+        length = int(image.fetch_lengths[exit_kind, bid])
+        out.extend(base + 4 * i for i in range(length))
+    return np.asarray(out, dtype=np.int64)
+
+
+@st.composite
+def _images_and_traces(draw):
+    blocks = draw(st.integers(1, 8))
+    # Length 0 is a block the linker elided entirely (a lone JMP to the
+    # block placed right after it).
+    lengths = draw(st.lists(st.integers(0, 6), min_size=3 * blocks,
+                            max_size=3 * blocks))
+    bases = draw(st.lists(st.integers(0, 1 << 14).map(lambda b: 4 * b),
+                          min_size=blocks, max_size=blocks))
+    entries = draw(st.lists(
+        st.tuples(st.integers(0, blocks - 1), st.integers(0, 2)),
+        max_size=40,
+    ))
+    image = SimpleNamespace(
+        fetch_base=np.asarray(bases, dtype=np.int64),
+        fetch_lengths=np.asarray(lengths, dtype=np.int64).reshape(3, blocks),
+    )
+    block_ids = np.asarray([bid for bid, _ in entries], dtype=np.int32)
+    via = np.asarray([kind for _, kind in entries], dtype=np.uint8)
+    return image, block_ids, via
+
+
+@settings(max_examples=200, deadline=None)
+@given(_images_and_traces())
+@example((
+    SimpleNamespace(
+        fetch_base=np.asarray([0, 8, 12], dtype=np.int64),
+        fetch_lengths=np.asarray([[2, 0, 3]] * 3, dtype=np.int64),
+    ),
+    np.asarray([0, 1, 2, 1, 0], dtype=np.int32),
+    np.asarray([0, 0, 0, 0, 0], dtype=np.uint8),
+))
+def test_expansion_matches_per_entry_loop(case):
+    image, block_ids, via = case
+    out = expand_addresses(block_ids, via, image)
+    assert out.dtype == np.int64
+    assert np.array_equal(out, _expand_by_entry(block_ids, via, image))

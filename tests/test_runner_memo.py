@@ -2,7 +2,9 @@
 
 The memo sits behind a verified store read and replaces only the
 rebuild-and-replay of hydration, so explains stay byte-identical, store
-accounting is unchanged, and store-less runners never see it.
+accounting is unchanged, and store-less runners never see it.  Memoized
+artifacts carry their layouts' replay slots, so each layout is linked
+and expanded once per process.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from repro.experiments import runner as runner_module
 from repro.experiments.runner import ExperimentRunner, clear_memo
 from repro.experiments.table6 import CACHE_SIZES
 from repro.experiments.table7 import BLOCK_SIZES
+from repro.interp.trace import BlockTrace
+from repro.placement.image import MemoryImage
 from repro.placement.pipeline import PlacementOptions
 from repro.workloads.registry import workload_names
 
@@ -285,3 +289,107 @@ def test_memo_hit_on_a_damaged_entry_is_a_quarantined_miss(tmp_path):
     assert (totals["store_misses"], totals["memo_hits"]) == (1, 0)
     assert totals["interp_instructions"] > 0
     assert explain("tee", store_dir)[0] == expected
+
+
+def test_grid_links_and_expands_each_layout_once(tmp_path, monkeypatch):
+    store_dir = str(tmp_path)
+    names = workload_names()
+    for name in names:
+        explain(name, store_dir)
+    clear_memo()
+    linked: list = []
+    expansions = []
+    build = MemoryImage.build.__func__
+    expand = BlockTrace.addresses
+
+    def counting_build(cls, program, *args, **kwargs):
+        linked.append(program)
+        return build(cls, program, *args, **kwargs)
+
+    def counting_expand(trace, image):
+        expansions.append(image)
+        return expand(trace, image)
+
+    monkeypatch.setattr(MemoryImage, "build", classmethod(counting_build))
+    monkeypatch.setattr(BlockTrace, "addresses", counting_expand)
+    for name in names:
+        for geometry in GRID:
+            explain(name, store_dir, geometry)
+    assert len(linked) == 2 * len(names)
+    assert len(expansions) == 2 * len(names)
+    for name in names:
+        art = ExperimentRunner(
+            scale=SCALE, store=ArtifactStore(store_dir)).artifacts(name)
+        # The natural image is linked on first use, the optimized one
+        # only by the hydration's placement.
+        assert sum(p is art.original_program for p in linked) == 1
+        assert sum(p is art.program for p in linked) == 1
+        assert art.replays["optimized"].image is art.image
+
+
+def test_slots_are_read_only_uint32_and_match_the_expansion(tmp_path):
+    store = ArtifactStore(str(tmp_path))
+    runner = ExperimentRunner(scale=SCALE, store=store)
+    for name in workload_names():
+        art = runner.artifacts(name)
+        for layout, trace in (("optimized", art.trace),
+                              ("natural", art.original_trace)):
+            slot = runner.replay(name, layout)
+            assert slot.addresses.dtype == np.uint32
+            assert not slot.addresses.flags.writeable
+            with pytest.raises(ValueError):
+                slot.addresses[0] = 0
+            addresses = runner.addresses(name, layout)
+            assert addresses.dtype == np.int64
+            expected = trace.addresses(runner.image_for(name, layout))
+            assert np.array_equal(addresses, expected), (name, layout)
+
+
+def test_threads_share_one_slot(tmp_path):
+    store_dir = str(tmp_path)
+    explain("wc", store_dir)
+    clear_memo()
+    slots: list = []
+    errors: list[Exception] = []
+
+    def work() -> None:
+        try:
+            runner = ExperimentRunner(scale=SCALE,
+                                      store=ArtifactStore(store_dir))
+            for layout in ("optimized", "natural"):
+                runner.addresses("wc", layout)
+                slots.append((layout, runner.replay("wc", layout)))
+        except Exception as exc:  # surfaced by the assert below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors
+    assert len(slots) == 8
+    for layout in ("optimized", "natural"):
+        assert len({id(slot) for kind, slot in slots if kind == layout}) == 1
+
+
+def test_storeless_runner_and_cleared_memo_get_their_own_slots(tmp_path):
+    store = ArtifactStore(str(tmp_path))
+    ExperimentRunner(scale=SCALE, store=store).artifacts("wc")
+    shared = ExperimentRunner(scale=SCALE, store=store).replay("wc")
+    assert ExperimentRunner(scale=SCALE, store=store).replay("wc") is shared
+    storeless = ExperimentRunner(scale=SCALE)
+    own = storeless.replay("wc")
+    assert own is not shared
+    # A runner keeps its artifacts' slots for its whole life.
+    assert storeless.replay("wc") is own
+    assert np.array_equal(own.addresses, shared.addresses)
+    clear_memo()
+    fresh = ExperimentRunner(scale=SCALE, store=store).replay("wc")
+    assert fresh is not shared
+    assert np.array_equal(fresh.addresses, shared.addresses)

@@ -112,8 +112,8 @@ def _req(name="table6"):
 class TestJobQueue:
     def test_submit_claim_finish_lifecycle(self):
         queue = JobQueue(depth=4)
-        ticket, created = queue.submit(_req(), "fp-1")
-        assert created and ticket.state == "queued"
+        ticket, outcome = queue.submit(_req(), "fp-1")
+        assert outcome == "created" and ticket.state == "queued"
         claimed = queue.claim(timeout=1.0)
         assert claimed is ticket and claimed.state == "running"
         queue.finish(claimed, result={"output": "x"})
@@ -122,20 +122,20 @@ class TestJobQueue:
 
     def test_coalesces_identical_inflight(self):
         queue = JobQueue(depth=4)
-        first, created_first = queue.submit(_req(), "fp-same")
-        second, created_second = queue.submit(_req(), "fp-same")
-        assert created_first and not created_second
+        first, outcome_first = queue.submit(_req(), "fp-same")
+        second, outcome_second = queue.submit(_req(), "fp-same")
+        assert (outcome_first, outcome_second) == ("created", "coalesced")
         assert second is first and first.coalesced == 1
         # A different fingerprint gets its own ticket.
-        other, created_other = queue.submit(_req("table7"), "fp-other")
-        assert created_other and other is not first
+        other, outcome_other = queue.submit(_req("table7"), "fp-other")
+        assert outcome_other == "created" and other is not first
 
     def test_finished_tickets_not_coalesced_onto(self):
         queue = JobQueue(depth=4)
         first, _ = queue.submit(_req(), "fp-warm")
         queue.finish(queue.claim(timeout=1.0), result={})
-        again, created = queue.submit(_req(), "fp-warm")
-        assert created and again is not first
+        again, outcome = queue.submit(_req(), "fp-warm")
+        assert outcome == "created" and again is not first
 
     def test_backpressure_past_depth(self):
         queue = JobQueue(depth=2)
@@ -150,8 +150,8 @@ class TestJobQueue:
             queue.submit(_req("table3"), "fp-c")
         # ...until one finishes.
         queue.finish(queue.claim(timeout=1.0), result={})
-        ticket, created = queue.submit(_req("table3"), "fp-c")
-        assert created and ticket.state == "queued"
+        ticket, outcome = queue.submit(_req("table3"), "fp-c")
+        assert outcome == "created" and ticket.state == "queued"
 
     def test_closed_queue_rejects_but_drains(self):
         queue = JobQueue(depth=4)
@@ -377,6 +377,37 @@ class TestHTTP:
         assert outcome["ok"] == 16
         assert outcome["failed"] == 0
         assert outcome["latency_s"]["p99"] > 0
+
+
+def test_retried_coalesced_key_is_idempotent_not_coalesced(tmp_path):
+    release = threading.Event()
+
+    def executor(request, **_kwargs):
+        release.wait(5.0)
+        return {"output": "x", "detail": {}}
+
+    service = ExperimentService(
+        port=0, cache_dir=str(tmp_path / "c"), workers=1, executor=executor,
+    )
+    service.start()
+    try:
+        client = ServiceClient(service.url)
+        request = {"kind": "table", "table": "table6", "scale": "small"}
+        first = client.submit(request, submission="k1")
+        coalesced = client.submit(request, submission="k2")
+        retried = client.submit(request, submission="k2")
+        assert (first["coalesced"], first["idempotent"]) == (False, False)
+        assert (coalesced["coalesced"], coalesced["idempotent"]) == (
+            True, False)
+        assert (retried["coalesced"], retried["idempotent"]) == (
+            False, True)
+        assert first["id"] == coalesced["id"] == retried["id"]
+        counters = service.registry.counter_values()
+        assert counters["service.coalesced"] == 1
+        assert service.queue.get(first["id"]).coalesced == 1
+    finally:
+        release.set()
+        service.shutdown(timeout=10.0)
 
 
 class TestBackpressureAndDrain:

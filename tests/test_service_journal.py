@@ -286,10 +286,10 @@ def test_coalesced_submission_key_survives_a_restart(tmp_path):
     journal = JobJournal(str(tmp_path / "j"))
     queue = JobQueue(depth=8, journal=journal)
     request = {"kind": "table", "table": "table6"}
-    first, created = queue.submit(request, "fp-1", submission="k1")
-    assert (first.id, created) == ("job-000001", True)
-    coalesced, created = queue.submit(request, "fp-1", submission="k2")
-    assert (coalesced.id, created) == ("job-000001", False)
+    first, outcome = queue.submit(request, "fp-1", submission="k1")
+    assert (first.id, outcome) == ("job-000001", "created")
+    coalesced, outcome = queue.submit(request, "fp-1", submission="k2")
+    assert (coalesced.id, outcome) == ("job-000001", "coalesced")
     claimed = queue.claim(timeout=1.0)
     assert queue.finish(claimed, result={"output": "x"})
     journal.close()
@@ -298,8 +298,8 @@ def test_coalesced_submission_key_survives_a_restart(tmp_path):
     restored = JobQueue(depth=8, journal=reopened)
     restored.restore(reopened.replay().ticket_states())
     for key in ("k1", "k2"):
-        ticket, created = restored.submit(request, "fp-1", submission=key)
-        assert (ticket.id, created) == ("job-000001", False)
+        ticket, outcome = restored.submit(request, "fp-1", submission=key)
+        assert (ticket.id, outcome) == ("job-000001", "rematched")
         assert ticket.result == {"output": "x"}
     reopened.close()
 
@@ -310,8 +310,8 @@ def test_ticket_doc_without_aliases_restores_its_key():
     del doc["aliases"]
     queue = JobQueue(depth=8)
     queue.restore([doc])
-    ticket, created = queue.submit({}, "fp-other", submission="k1")
-    assert (ticket.id, created) == ("job-000003", False)
+    ticket, outcome = queue.submit({}, "fp-other", submission="k1")
+    assert (ticket.id, outcome) == ("job-000003", "rematched")
     assert ticket.aliases == []
 
 
