@@ -12,6 +12,12 @@ inter-function conflict matrix that makes the paper's DFS-vs-natural
 layout claim directly observable (``repro explain``, ``repro report
 --html``).
 
+The shadow and the first touches depend only on the trace, so a layout
+the runner replays many times registers its :class:`Reference` with its
+symbol table: each (granule, capacity) is simulated once per process,
+and a later attribution of that trace reuses it (counted as
+``shadow_reuses``).
+
 Attribution is the ``diagnose`` kind of :mod:`repro.ambient`: the
 process-wide default is :data:`NULL`, whose every operation is a no-op,
 and every hook in the simulators is guarded by ``enabled`` — an
@@ -29,7 +35,12 @@ import os
 from contextlib import contextmanager
 
 from repro import ambient
-from repro.diagnose.classify import Attribution, MissProbe, attribute
+from repro.diagnose.classify import (
+    Attribution,
+    MissProbe,
+    Reference,
+    attribute,
+)
 from repro.diagnose.symbols import SymbolTable
 
 __all__ = [
@@ -38,6 +49,7 @@ __all__ = [
     "MissProbe",
     "NULL",
     "NullCollector",
+    "Reference",
     "SymbolTable",
     "attribute",
     "current",
@@ -54,7 +66,7 @@ class NullCollector:
     def scope(self, workload=None, layout=None):
         return ambient.NULL_CONTEXT
 
-    def register_symbols(self, workload, layout, symbols):
+    def register_symbols(self, workload, layout, symbols, reference=None):
         pass
 
     def record(self, organization, cache_bytes, block_bytes, addresses,
@@ -72,14 +84,19 @@ class Collector:
     block_bytes)``; the ambient (workload, layout) comes from the
     :meth:`scope` context manager the experiment tables open around
     their simulate loops, and symbol tables are registered per
-    (workload, layout) by whoever linked the image (the runner).
+    (workload, layout) by whoever linked the image (the runner), with the
+    3C :class:`Reference` of the layout's replayed trace when it keeps
+    one: a simulation of that very trace then reuses its first touches
+    and fully-associative shadow.
     """
 
     enabled = True
 
     def __init__(self) -> None:
         self.entries: dict[tuple, Attribution] = {}
-        self._symbols: dict[tuple[str, str], SymbolTable] = {}
+        self._symbols: dict[
+            tuple[str, str], tuple[SymbolTable, Reference | None]
+        ] = {}
         self._workload: str = "?"
         self._layout: str = "?"
         self._pid = os.getpid()
@@ -98,10 +115,12 @@ class Collector:
             self._workload, self._layout = previous
 
     def register_symbols(
-        self, workload: str, layout: str, symbols: SymbolTable
+        self, workload: str, layout: str, symbols: SymbolTable,
+        reference: Reference | None = None,
     ) -> None:
-        """Attach the symbol table for one (workload, layout) image."""
-        self._symbols[(workload, layout)] = symbols
+        """Attach the symbol table for one (workload, layout) image, and
+        the 3C reference of its replayed trace if there is one."""
+        self._symbols[(workload, layout)] = (symbols, reference)
 
     def record(
         self,
@@ -113,10 +132,11 @@ class Collector:
         set_misses=None,
     ) -> Attribution:
         """Classify one finished simulation and fold it into the run."""
-        symbols = self._symbols.get((self._workload, self._layout))
+        symbols, reference = self._symbols.get(
+            (self._workload, self._layout), (None, None))
         result = attribute(
             addresses, probe, organization, cache_bytes, block_bytes,
-            symbols=symbols, set_misses=set_misses,
+            symbols=symbols, set_misses=set_misses, reference=reference,
         )
         key = (
             self._workload, self._layout, organization,

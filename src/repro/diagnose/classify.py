@@ -38,19 +38,30 @@ associative LRU at the shadow's granule and capacity) marks its probe,
 and its own misses serve as the shadow.  First touches are found on the
 granule transitions only (a first touch always changes granule), so the
 classifier never sorts the full trace.
+
+First touches and the shadow depend only on the trace, the granule and
+the capacity, not on the simulated geometry.  An owner that replays one
+trace many times (a runner's layout slot) keeps them in a
+:class:`Reference`, and :func:`attribute` reads them from it when handed
+one for that very trace: each is computed once per (granule, capacity),
+and every later attribution only classifies its own misses.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro import obs
 from repro.cache.lru import lru_misses, transitions
 
 __all__ = [
     "Attribution",
     "MissProbe",
+    "Reference",
     "attribute",
     "fully_associative_miss_positions",
 ]
@@ -226,6 +237,79 @@ def _first_touch_positions(granules: np.ndarray) -> np.ndarray:
     return steps[np.sort(first)]
 
 
+class Reference:
+    """The 3C reference of one fixed address trace, kept across attributions.
+
+    Holds read-only first-touch positions per granule size and
+    fully-associative miss positions per (granule, capacity), each
+    computed on first use.  :func:`attribute` reads them only for a trace
+    :meth:`covers` (every address equal), so no other trace can get
+    them.  The arrays kept total at most ``budget_bytes``, the byte size
+    of ``addresses`` itself; the least recently used go first, and an
+    array larger than the budget is not kept.  Fills are race-safe: two
+    threads may both compute an array, and the first one stored is the
+    one every later caller gets.
+    """
+
+    def __init__(self, addresses: np.ndarray) -> None:
+        self.addresses = addresses
+        self.budget_bytes = addresses.nbytes
+        self._arrays: OrderedDict[tuple, np.ndarray] = OrderedDict()
+        self._bytes = 0
+        self._lock = threading.Lock()
+
+    def covers(self, addresses: np.ndarray) -> bool:
+        """Whether ``addresses`` is this reference's trace."""
+        return len(addresses) == len(self.addresses) and bool(
+            np.array_equal(addresses, self.addresses))
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the arrays kept."""
+        return self._bytes
+
+    def first_touches(self, addresses: np.ndarray, shift: int) -> np.ndarray:
+        """:func:`_first_touch_positions` of the trace (``addresses``, as
+        ``int64``) at ``2**shift``-byte granules."""
+        return self._get(("first_touch", shift),
+                         lambda: _first_touch_positions(addresses >> shift))[0]
+
+    def shadow(self, addresses: np.ndarray, shift: int,
+               capacity_granules: int) -> np.ndarray:
+        """:func:`fully_associative_miss_positions` of the trace at
+        ``2**shift``-byte granules; a reuse is counted as
+        ``shadow_reuses`` on the ambient recorder."""
+        positions, reused = self._get(
+            ("shadow", shift, capacity_granules),
+            lambda: fully_associative_miss_positions(
+                addresses >> shift, capacity_granules),
+        )
+        if reused:
+            obs.current().count("shadow_reuses", 1)
+        return positions
+
+    def _get(self, key: tuple, compute) -> tuple[np.ndarray, bool]:
+        """``(array, reused)``: the kept array, or a computed one."""
+        with self._lock:
+            array = self._arrays.get(key)
+            if array is not None:
+                self._arrays.move_to_end(key)
+                return array, True
+        array = compute()
+        array.flags.writeable = False
+        if array.nbytes > self.budget_bytes:
+            return array, False
+        with self._lock:
+            kept = self._arrays.setdefault(key, array)
+            self._arrays.move_to_end(key)
+            if kept is array:
+                self._bytes += array.nbytes
+                while self._bytes > self.budget_bytes:
+                    _, dropped = self._arrays.popitem(last=False)
+                    self._bytes -= dropped.nbytes
+            return kept, False
+
+
 def attribute(
     addresses: np.ndarray,
     probe: MissProbe,
@@ -234,6 +318,7 @@ def attribute(
     block_bytes: int,
     symbols=None,
     set_misses=None,
+    reference: Reference | None = None,
 ) -> Attribution:
     """Classify one simulation's misses and attribute them to symbols.
 
@@ -241,20 +326,25 @@ def attribute(
     carries its per-miss positions and evictors.  ``symbols`` (a
     :class:`repro.diagnose.symbols.SymbolTable` or ``None``) turns
     addresses into (function, basic block); without it the attribution
-    still produces exact 3C totals, just no symbol tables.
+    still produces exact 3C totals, just no symbol tables.  A
+    ``reference`` that :meth:`~Reference.covers` ``addresses`` supplies
+    the first touches and the shadow; any other trace computes its own.
     """
     addresses = np.asarray(addresses, dtype=np.int64)
     n = len(addresses)
     shift = probe.granule_bytes.bit_length() - 1
-    granules = addresses >> shift
     capacity_granules = max(1, probe.capacity_bytes // probe.granule_bytes)
-
     miss_positions = np.asarray(probe.positions, dtype=np.int64)
-    if probe.fully_associative:
-        shadow = miss_positions
+    if reference is not None and reference.covers(addresses):
+        first_touch = reference.first_touches(addresses, shift)
+        shadow = (miss_positions if probe.fully_associative else
+                  reference.shadow(addresses, shift, capacity_granules))
     else:
-        shadow = fully_associative_miss_positions(granules, capacity_granules)
-    first_touch = _first_touch_positions(granules)
+        granules = addresses >> shift
+        first_touch = _first_touch_positions(granules)
+        shadow = (miss_positions if probe.fully_associative else
+                  fully_associative_miss_positions(
+                      granules, capacity_granules))
     evictors = np.asarray(probe.evictors, dtype=np.int64)
 
     # Membership tests via searchsorted: every array is sorted & unique
@@ -301,25 +391,31 @@ def attribute(
     if symbols is None or len(miss_positions) == 0:
         return result
 
-    miss_addresses = addresses[miss_positions]
-    functions, bids = symbols.resolve(miss_addresses)
+    # Tallies count interval and function numbers; names are looked up
+    # once per distinct function or pair, not once per miss.
+    names = symbols.function_names
+    located = symbols.locate(addresses[miss_positions])
+    functions = symbols.function_ids[located]
     classes = np.where(is_compulsory, 0, np.where(is_capacity, 1, 2))
-    function_misses = result.function_misses
-    block_misses = result.block_misses
-    for name, bid, cls in zip(functions, bids, classes):
-        counts = function_misses.setdefault(str(name), [0, 0, 0])
-        counts[int(cls)] += 1
-        bid = int(bid)
-        if bid >= 0:
-            block_misses[bid] = block_misses.get(bid, 0) + 1
+    counts = np.bincount(
+        3 * functions + classes, minlength=3 * len(names)
+    ).reshape(-1, 3)
+    for function in np.flatnonzero(counts.any(axis=1)).tolist():
+        result.function_misses[names[function]] = counts[function].tolist()
+    bids = symbols.bids[located]
+    bids, bid_counts = np.unique(bids[bids >= 0], return_counts=True)
+    result.block_misses = dict(zip(bids.tolist(), bid_counts.tolist()))
 
-    conflict_idx = np.nonzero(is_conflict & (evictors >= 0))[0]
+    conflict_idx = np.flatnonzero(is_conflict & (evictors >= 0))
     if len(conflict_idx):
-        evictor_addresses = evictors[conflict_idx] << shift
-        evictor_functions, _ = symbols.resolve(evictor_addresses)
-        pairs = result.conflict_pairs
-        victim_functions = functions[conflict_idx]
-        for victim, evictor in zip(victim_functions, evictor_functions):
-            key = (str(victim), str(evictor))
-            pairs[key] = pairs.get(key, 0) + 1
+        evictor_functions = symbols.function_ids[
+            symbols.locate(evictors[conflict_idx] << shift)]
+        pairs, pair_counts = np.unique(
+            len(names) * functions[conflict_idx] + evictor_functions,
+            return_counts=True,
+        )
+        result.conflict_pairs = {
+            (names[pair // len(names)], names[pair % len(names)]): count
+            for pair, count in zip(pairs.tolist(), pair_counts.tolist())
+        }
     return result

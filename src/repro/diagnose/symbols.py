@@ -30,6 +30,14 @@ class SymbolTable:
         self.starts = starts          # int64, ascending block start addresses
         self.bids = bids              # int64, bid per interval
         self.functions = functions    # function name per interval
+        #: Distinct function names, in first-interval order, and each
+        #: interval's index into them.
+        numbers: dict[str, int] = {}
+        self.function_ids = np.asarray(
+            [numbers.setdefault(name, len(numbers)) for name in functions],
+            dtype=np.int64,
+        )
+        self.function_names = list(numbers)
         #: bid -> index of the selected trace containing it (optimized
         #: layouts only; empty for baselines).
         self.block_traces = block_traces or {}
@@ -58,17 +66,14 @@ class SymbolTable:
                         block_traces[int(bid)] = trace_index
         return cls(starts, bids, functions, block_traces)
 
-    def resolve(self, addresses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(function_names, bids)`` for an array of byte addresses.
+    def locate(self, addresses: np.ndarray) -> np.ndarray:
+        """The interval index of each byte address in an array.
 
-        Addresses below the first placed block resolve to the first
+        Addresses below the first placed block fall in the first
         interval (defensive: base addresses are 0 in practice).
         """
-        addresses = np.asarray(addresses, dtype=np.int64)
         index = np.searchsorted(self.starts, addresses, side="right") - 1
-        index = np.clip(index, 0, len(self.starts) - 1)
-        names = np.asarray(self.functions, dtype=object)[index]
-        return names, self.bids[index]
+        return np.clip(index, 0, len(self.starts) - 1)
 
     def trace_of(self, bid: int) -> int | None:
         """Index of the selected trace a block was placed in, if known."""

@@ -15,17 +15,19 @@ executing **zero** interpreter steps (a
 
 The layouts every cache table replays (optimized and natural, unscaled)
 each get one :class:`LayoutReplay` slot on their
-:class:`WorkloadArtifacts`: the linked image, its symbol table and the
-fetch addresses, filled on first use and then only read.
+:class:`WorkloadArtifacts`: the linked image, its symbol table, the
+fetch addresses and their 3C reference (first touches and
+fully-associative misses), filled on first use and then only read.
 
 Hydrated artifacts are also kept in a bounded process-wide memo, so a
 long-lived process (``repro serve``, a benchmark loop) rebuilds and
-re-places each stored entry once, not once per request, and links and
-expands each replayed layout once, not once per request: the slots
-travel with the memoized artifacts.  A memo entry is used only after
-the store has verified the entry's bytes (on a memo hit the store skips
-decoding them), so store hit/miss accounting, quarantine and ``repro
-cache clear`` see every lookup exactly as without it.
+re-places each stored entry once, not once per request, and links,
+expands and simulates the fully-associative shadows of each replayed
+layout once, not once per request: the slots travel with the memoized
+artifacts.  A memo entry is used only after the store has verified the
+entry's bytes (on a memo hit the store skips decoding them), so store
+hit/miss accounting, quarantine and ``repro cache clear`` see every
+lookup exactly as without it.
 """
 
 from __future__ import annotations
@@ -88,12 +90,19 @@ class LayoutReplay:
 
     A slot's ``addresses`` are a read-only ``uint32`` array (half the
     memory of the ``int64`` the simulators take; see
-    :meth:`ExperimentRunner.addresses`).
+    :meth:`ExperimentRunner.addresses`).  A slot also carries the
+    addresses' 3C ``reference``: read-only first-touch positions per
+    granule and fully-associative miss positions per (granule,
+    capacity), each computed by the first attribution that needs it and
+    at most as many bytes as ``addresses`` in all (least recently used
+    dropped first).  Replays built afresh (other layouts, scaled code)
+    have none.
     """
 
     image: MemoryImage
     addresses: np.ndarray
     selections: dict | None = None   # trace labels, on inlined layouts
+    reference: diagnose.Reference | None = None
 
     @functools.cached_property
     def symbols(self) -> diagnose.SymbolTable:
@@ -439,9 +448,9 @@ class ExperimentRunner:
         :meth:`image_for` for the layouts).
 
         The :data:`REPLAYED_LAYOUTS` at scaling 1.0 return the
-        artifacts' slot, linked and expanded once: memoized artifacts
-        share it process-wide.  Other layouts and scalings are built
-        afresh on every call.
+        artifacts' slot, linked and expanded once, with its 3C
+        reference: memoized artifacts share it process-wide.  Other
+        layouts and scalings are built afresh on every call.
         """
         art = self.artifacts(name)
         shared = scaling == 1.0 and layout in REPLAYED_LAYOUTS
@@ -467,7 +476,8 @@ class ExperimentRunner:
         addresses.flags.writeable = False
         # A racing fill keeps the slot stored first.
         return art.replays.setdefault(
-            layout, LayoutReplay(image, addresses, selections)
+            layout, LayoutReplay(image, addresses, selections,
+                                 diagnose.Reference(addresses)),
         )
 
     def addresses(
@@ -479,12 +489,14 @@ class ExperimentRunner:
         the layouts every cache table replays).
 
         Under an attribution collector, the layout's symbol table is
-        registered into it for unscaled layouts.
+        registered into it for unscaled layouts, with the slot's 3C
+        reference for the replayed ones.
         """
         replay = self.replay(name, layout, scaling, seed)
         collector = diagnose.current()
         if collector.enabled and scaling == 1.0:
-            collector.register_symbols(name, layout, replay.symbols)
+            collector.register_symbols(
+                name, layout, replay.symbols, replay.reference)
         return replay.fetches()
 
 

@@ -17,6 +17,7 @@ from repro import diagnose
 from repro.cache.direct import simulate_direct
 from repro.cache.lru import lru_misses, set_order
 from repro.cache.paging import simulate_paging
+from repro.cache.sectored import simulate_sectored
 from repro.cache.set_assoc import simulate_fully_associative
 from repro.cache.vectorized import (
     direct_mapped_miss_mask,
@@ -126,6 +127,36 @@ class TestDirectMapped:
         assert _classes(entry) == _classes(sequential)
         assert entry.compulsory + entry.capacity + entry.conflict \
             == entry.misses
+
+
+class TestSectoredIsDirect:
+    """With one sector per block, a sectored cache is direct-mapped."""
+
+    @given(_runs, st.sampled_from([4, 16, 64]), st.sampled_from([0, 16]))
+    @example(_EMPTY, 4, 0)
+    @example(_EMPTY, 4, 16)
+    @example(_ONE, 64, 0)
+    @example(_ONE, 4, 16)
+    @example(_ALIASED, 4, 16)
+    @settings(max_examples=60, deadline=None)
+    def test_sector_equal_to_block_matches_direct(
+        self, runs, block_bytes, log_sets
+    ):
+        trace = _trace(runs)
+        cache_bytes = block_bytes << log_sets
+        direct_stats, direct, direct_entry = collect(
+            simulate_direct_vectorized, trace, cache_bytes, block_bytes)
+        sectored_stats, sectored, sectored_entry = collect(
+            simulate_sectored, trace, cache_bytes, block_bytes, block_bytes)
+        assert sectored_stats.misses == direct_stats.misses
+        assert sectored_stats.words_transferred \
+            == direct_stats.words_transferred
+        assert _sparse(sectored.set_misses) == _sparse(direct.set_misses)
+        assert list(sectored.probe.positions) \
+            == list(direct.probe.positions)
+        assert list(sectored.probe.evictors) \
+            == list(direct.probe.evictors)
+        assert _classes(sectored_entry) == _classes(direct_entry)
 
 
 class TestThreeC:

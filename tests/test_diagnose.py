@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 
-from repro import diagnose
+from repro import diagnose, obs
+from repro.cache.lru import lru_misses
 from repro.cache.direct import simulate_direct
 from repro.cache.paging import simulate_paging, simulate_sectored_paging
 from repro.cache.partial import simulate_partial
@@ -188,6 +191,154 @@ class TestSymbolAttribution:
         assert optimized.conflict < natural.conflict
         worst = lambda entry: max(entry.conflict_pairs.values())  # noqa: E731
         assert worst(optimized) <= worst(natural)
+
+
+class TestReference:
+    def test_covers_only_the_very_trace(self):
+        trace = synthetic_trace()
+        reference = diagnose.Reference(trace.astype(np.uint32))
+        assert reference.covers(trace)
+        altered = trace.copy()
+        altered[len(trace) // 2] += 4
+        assert not reference.covers(altered)
+        assert not reference.covers(trace[:-1])
+        assert reference.budget_bytes == 4 * len(trace)
+
+    def test_arrays_equal_recomputed_ones_and_reuses_are_counted(self):
+        trace = synthetic_trace()
+        reference = diagnose.Reference(trace)
+        recorder = obs.Recorder()
+        with obs.use(recorder):
+            for _ in range(3):
+                shadow = reference.shadow(trace, 6, 16)
+                first = reference.first_touches(trace, 6)
+        expected = lru_misses(trace >> 6, 16)[0]
+        assert np.array_equal(shadow, expected)
+        assert first.tolist() \
+            == np.sort(np.unique(trace >> 6, return_index=True)[1]).tolist()
+        assert not shadow.flags.writeable and not first.flags.writeable
+        assert recorder.metrics.counter_values()["shadow_reuses"] == 2
+        assert reference.nbytes == shadow.nbytes + first.nbytes
+
+    def test_bound_evicts_least_recently_used(self, monkeypatch):
+        from repro.diagnose import classify
+
+        trace = phased_trace()
+        calls: list[int] = []
+        shadow = classify.fully_associative_miss_positions
+
+        def counting(granules, capacity_granules):
+            calls.append(capacity_granules)
+            return shadow(granules, capacity_granules)
+
+        monkeypatch.setattr(classify, "fully_associative_miss_positions",
+                            counting)
+        # Like a replay slot, the reference holds uint32 addresses, so its
+        # budget is 4 bytes per fetch.
+        reference = diagnose.Reference(trace.astype(np.uint32))
+        budget = reference.budget_bytes
+        a, b, c = (shadow(trace >> 6, capacity).nbytes
+                   for capacity in (8, 4, 16))
+        assert a + b <= budget < a + b + c and a + c <= budget
+
+        def kept() -> list[int]:
+            return [key[2] for key in reference._arrays]
+
+        for capacity in (8, 4, 8, 16):     # 8 is used again before 16
+            reference.shadow(trace, 6, capacity)
+        assert calls == [8, 4, 16]
+        assert kept() == [8, 16]            # 4 was least recently used
+        reference.shadow(trace, 6, 4)
+        assert calls == [8, 4, 16, 4]
+        assert kept() == [16, 4]
+        assert reference.nbytes == b + c
+
+    def test_array_over_the_budget_is_not_kept(self):
+        trace = phased_trace()
+        reference = diagnose.Reference(trace.astype(np.uint32))
+        # Two granules of LRU cycling over four or more: every fetch
+        # misses, 8 bytes each against the budget's 4 per fetch.
+        positions = reference.shadow(trace, 6, 2)
+        assert len(positions) == len(trace)
+        assert reference.nbytes == 0 and not reference._arrays
+
+
+def phased_trace() -> np.ndarray:
+    """Three phases cycling over 4, 8 and 16 distinct 64 B granules (150,
+    10 and 10 rounds): a fully-associative LRU cache of 16, 8 and 4
+    granules misses 28, 172 and 244 times in its 840 fetches."""
+    phases = [(0, 4, 150), (100, 8, 10), (200, 16, 10)]
+    return np.concatenate([
+        np.tile(64 * (base + np.arange(count)), rounds)
+        for base, count, rounds in phases
+    ]).astype(np.int64)
+
+
+def loop_tallies(addresses, probe, symbols):
+    """The per-miss loop the vectorised tallies replaced: function,
+    block and conflict-pair dicts, each miss resolved on its own."""
+    shift = probe.granule_bytes.bit_length() - 1
+    granules = addresses >> shift
+    capacity = max(1, probe.capacity_bytes // probe.granule_bytes)
+    first = set(np.unique(granules, return_index=True)[1].tolist())
+    shadow = set(lru_misses(granules, capacity)[0].tolist())
+    starts = symbols.starts.tolist()
+
+    def interval(address: int) -> int:
+        return min(max(bisect_right(starts, address) - 1, 0),
+                   len(starts) - 1)
+
+    functions: dict[str, list[int]] = {}
+    blocks: dict[int, int] = {}
+    pairs: dict[tuple[str, str], int] = {}
+    for position, evictor in zip(probe.positions, probe.evictors):
+        index = interval(int(addresses[position]))
+        name, bid = symbols.functions[index], int(symbols.bids[index])
+        cls = 0 if position in first else 1 if position in shadow else 2
+        functions.setdefault(name, [0, 0, 0])[cls] += 1
+        if bid >= 0:
+            blocks[bid] = blocks.get(bid, 0) + 1
+        if cls == 2 and evictor >= 0:
+            evicting = symbols.functions[interval(int(evictor) << shift)]
+            pairs[name, evicting] = pairs.get((name, evicting), 0) + 1
+    return functions, blocks, pairs
+
+
+class _Probing(diagnose.Collector):
+    """A collector that also keeps each simulation's probe."""
+
+    def record(self, organization, cache_bytes, block_bytes, addresses,
+               probe, set_misses=None):
+        self.probe = probe
+        return super().record(organization, cache_bytes, block_bytes,
+                              addresses, probe, set_misses=set_misses)
+
+
+class TestVectorisedTallies:
+    @pytest.mark.parametrize("workload", ["cccp", "yacc", "make", "tee"])
+    @pytest.mark.parametrize("layout", ["optimized", "natural"])
+    @pytest.mark.parametrize("simulate,args", [
+        pytest.param(simulate_direct_vectorized, (2048, 64), id="2k64"),
+        pytest.param(simulate_direct_vectorized, (1024, 16), id="1k16"),
+        pytest.param(simulate_set_associative, (2048, 64, 2), id="2way"),
+        pytest.param(simulate_sectored, (2048, 64, 8), id="sectored"),
+    ])
+    def test_tallies_equal_the_per_miss_loop(
+        self, small_runner, workload, layout, simulate, args
+    ):
+        collector = _Probing()
+        with diagnose.use(collector):
+            addresses = small_runner.addresses(workload, layout)
+            with collector.scope(workload=workload, layout=layout):
+                simulate(addresses, *args)
+        (entry,) = collector.entries.values()
+        symbols = small_runner.replay(workload, layout).symbols
+        functions, blocks, pairs = loop_tallies(
+            addresses, collector.probe, symbols)
+        assert entry.function_misses == functions
+        assert entry.block_misses == blocks
+        assert entry.conflict_pairs == pairs
+        assert sum(map(sum, functions.values())) == entry.misses
 
 
 class TestEngineThreading:

@@ -4,7 +4,8 @@ The memo sits behind a verified store read and replaces only the
 rebuild-and-replay of hydration, so explains stay byte-identical, store
 accounting is unchanged, and store-less runners never see it.  Memoized
 artifacts carry their layouts' replay slots, so each layout is linked
-and expanded once per process.
+and expanded once per process, and its 3C reference (first touches and
+fully-associative shadows) is computed once per (granule, capacity).
 """
 
 from __future__ import annotations
@@ -13,11 +14,15 @@ import json
 import os
 import sys
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from repro import obs
+from repro import diagnose, obs
+from repro.cache.lru import lru_misses
+from repro.cache.vectorized import simulate_direct_vectorized
+from repro.diagnose import classify
 from repro.engine import scheduler
 from repro.engine.jobs import request_plan
 from repro.engine.store import ArtifactStore, artifact_key
@@ -393,3 +398,222 @@ def test_storeless_runner_and_cleared_memo_get_their_own_slots(tmp_path):
     fresh = ExperimentRunner(scale=SCALE, store=store).replay("wc")
     assert fresh is not shared
     assert np.array_equal(fresh.addresses, shared.addresses)
+
+
+# -- the 3C reference each replay slot keeps ------------------------------
+
+
+@pytest.fixture(scope="module")
+def grid_store(tmp_path_factory):
+    """A store holding the ten programs' executions."""
+    store_dir = str(tmp_path_factory.mktemp("grid-store"))
+    for name in workload_names():
+        explain(name, store_dir)
+    return store_dir
+
+
+def memo_slots():
+    """``(workload, layout, slot)`` of every memoized replay slot."""
+    return [(art.workload.name, layout, slot)
+            for art in runner_module._MEMO.values()
+            for layout, slot in art.replays.items()]
+
+
+def counting_shadows(monkeypatch) -> list:
+    """Record ``(granule trace bytes, capacity)`` per shadow simulation."""
+    calls: list = []
+    shadow = classify.fully_associative_miss_positions
+
+    def counting(granules, capacity_granules):
+        calls.append((granules.tobytes(), capacity_granules))
+        return shadow(granules, capacity_granules)
+
+    monkeypatch.setattr(classify, "fully_associative_miss_positions",
+                        counting)
+    return calls
+
+
+def test_grid_references_equal_recomputed_ones(grid_store):
+    for name in workload_names():
+        for geometry in GRID:
+            explain(name, grid_store, geometry)
+    slots = memo_slots()
+    assert len(slots) == 2 * len(workload_names())
+    for name, layout, slot in slots:
+        addresses = slot.addresses.astype(np.int64)
+        kept = dict(slot.reference._arrays)
+        # Four granules; five sizes at 64 B and three other block sizes
+        # at 2 KB (the 32-way cache is its own shadow).
+        assert sorted(key[0] for key in kept) \
+            == ["first_touch"] * 4 + ["shadow"] * 8, (name, layout)
+        assert slot.reference.nbytes <= slot.addresses.nbytes
+        for key, positions in kept.items():
+            assert not positions.flags.writeable
+            granules = addresses >> key[1]
+            if key[0] == "first_touch":
+                expected = classify._first_touch_positions(granules)
+            else:
+                expected = lru_misses(granules, key[2])[0]
+            assert np.array_equal(positions, expected), (name, layout, key)
+
+
+def test_shadow_runs_once_per_slot_granule_and_capacity(
+    grid_store, monkeypatch
+):
+    calls = counting_shadows(monkeypatch)
+    recorder = obs.Recorder()
+    with obs.use(recorder):
+        for name in workload_names():
+            for geometry in GRID:
+                explain(name, grid_store, geometry)
+        first_round = len(calls)
+        for name in workload_names():
+            for geometry in GRID:
+                explain(name, grid_store, geometry)
+    # 10 programs x 2 layouts x 8 (granule, capacity) pairs, each once
+    # (two slots may share a granule trace: tee's layouts coincide).
+    assert first_round == len(calls) == 160
+    expected = Counter(
+        ((slot.addresses.astype(np.int64) >> shift).tobytes(), capacity)
+        for _, _, slot in memo_slots()
+        for shift, capacity in {
+            (block_bytes.bit_length() - 1, cache_bytes // block_bytes)
+            for cache_bytes, block_bytes, ways in GRID if ways < 32
+        }
+    )
+    assert Counter(calls) == expected
+    # Every other non-fully-associative attribution reused a shadow:
+    # 2 KB / 64 B is shared by 1-, 2- and 4-way in the first round.
+    reuses = recorder.metrics.counter_values()["shadow_reuses"]
+    assert reuses == 2 * 10 * (2 * 10 - 8)
+
+
+def test_other_traces_never_read_a_slot_reference(grid_store, monkeypatch):
+    reads: list = []
+    for method in ("first_touches", "shadow"):
+        original = getattr(diagnose.Reference, method)
+
+        def spying(self, *args, _original=original):
+            reads.append(self)
+            return _original(self, *args)
+
+        monkeypatch.setattr(diagnose.Reference, method, spying)
+    runner = ExperimentRunner(scale=SCALE, store=ArtifactStore(grid_store))
+    collector = diagnose.Collector()
+    with diagnose.use(collector):
+        slot_trace = runner.addresses("cccp", "optimized")
+        # Same length as the slot's trace, one address different.
+        altered = slot_trace.copy()
+        altered[len(altered) // 2] += 4096
+        others = {
+            "scaled": runner.addresses("cccp", "optimized", scaling=1.5),
+            "random": runner.addresses("cccp", "random", seed=3),
+            "pettis_hansen": runner.addresses("cccp", "pettis_hansen"),
+            "altered": altered,
+        }
+        # Simulated under the slot's own scope, so the registered
+        # reference is the one the collector hands to attribute().
+        with collector.scope(workload="cccp", layout="optimized"):
+            for label, trace in others.items():
+                entry = simulate_and_attribute(collector, trace)
+                assert entry == fresh_attribution(trace, collector), label
+            assert not reads
+            simulate_and_attribute(collector, slot_trace)
+    slot = runner.replay("cccp", "optimized")
+    assert reads and all(reference is slot.reference for reference in reads)
+
+
+def simulate_and_attribute(collector, trace, geometry=(2048, 64)):
+    simulate_direct_vectorized(trace, *geometry)
+    return collector.entries["cccp", "optimized", "direct-vectorized",
+                             *geometry]
+
+
+def fresh_attribution(trace, collector, geometry=(2048, 64)):
+    """The same simulation attributed with the symbols but no reference."""
+    symbols, _ = collector._symbols["cccp", "optimized"]
+    plain = diagnose.Collector()
+    plain.register_symbols("cccp", "optimized", symbols)
+    with diagnose.use(plain), plain.scope(workload="cccp",
+                                          layout="optimized"):
+        return simulate_and_attribute(plain, trace, geometry)
+
+
+def test_threads_attributing_through_one_slot_agree(grid_store):
+    geometries = [(size, 64) for size in CACHE_SIZES] \
+        + [(2048, block) for block in BLOCK_SIZES if block != 64]
+    runner = ExperimentRunner(scale=SCALE, store=ArtifactStore(grid_store))
+    trace = runner.addresses("yacc", "natural")
+    slot = runner.replay("yacc", "natural")
+    expected = {}
+    for geometry in geometries:
+        plain = diagnose.Collector()
+        plain.register_symbols("yacc", "natural", slot.symbols)
+        with diagnose.use(plain), plain.scope(workload="yacc",
+                                              layout="natural"):
+            simulate_direct_vectorized(trace, *geometry)
+        (expected[geometry],) = plain.entries.values()
+    results: list = []
+    errors: list[Exception] = []
+
+    def work(offset: int) -> None:
+        try:
+            collector = diagnose.Collector()
+            with diagnose.use(collector):
+                own = runner.addresses("yacc", "natural")
+                with collector.scope(workload="yacc", layout="natural"):
+                    for step in range(len(geometries)):
+                        geometry = geometries[(offset + step)
+                                              % len(geometries)]
+                        simulate_direct_vectorized(own, *geometry)
+            results.append(collector.entries)
+        except Exception as exc:  # surfaced by the assert below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,))
+                   for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors
+    assert len(results) == 4
+    for entries in results:
+        assert {(key[3], key[4]): entry for key, entry in entries.items()} \
+            == expected
+    # One shadow per geometry, one first-touch array per block size.
+    assert len(slot.reference._arrays) == len(geometries) + len(BLOCK_SIZES)
+
+
+def test_cleared_memo_and_storeless_runner_recompute(grid_store, monkeypatch):
+    calls = counting_shadows(monkeypatch)
+
+    def attribute_wc(runner) -> diagnose.Attribution:
+        collector = diagnose.Collector()
+        with diagnose.use(collector):
+            trace = runner.addresses("wc", "natural")
+            with collector.scope(workload="wc", layout="natural"):
+                simulate_direct_vectorized(trace, 2048, 64)
+        (entry,) = collector.entries.values()
+        return entry
+
+    store = ArtifactStore(grid_store)
+    first = attribute_wc(ExperimentRunner(scale=SCALE, store=store))
+    assert len(calls) == 1
+    assert attribute_wc(ExperimentRunner(scale=SCALE, store=store)) == first
+    assert len(calls) == 1
+    clear_memo()
+    assert attribute_wc(ExperimentRunner(scale=SCALE, store=store)) == first
+    assert len(calls) == 2
+    storeless = ExperimentRunner(scale=SCALE)
+    assert attribute_wc(storeless) == first
+    assert len(calls) == 3
+    # A store-less runner keeps its own slot, and reuses its reference.
+    assert attribute_wc(storeless) == first
+    assert len(calls) == 3
+    assert len(set(calls)) == 1
