@@ -1,10 +1,8 @@
 """Explore the instruction-cache design space for one workload.
 
-Sweeps cache size x block size x fill scheme (whole-block, 8B-sectored,
-partial loading) on a placement-optimized workload, reporting miss ratio,
-memory traffic ratio, and the estimated effective access time from the
-Section 4.2.1 timing model (load forwarding + early continuation +
-streaming, 10-cycle initial latency).
+Sweeps cache size x block size x fill scheme (whole-block, partial
+loading, 8B-sectored) on a placement-optimized workload, reporting the
+miss ratio and memory traffic ratio of each fill scheme.
 
 This is the search the paper's conclusion wants to run "with billions of
 dynamic accesses"; here it runs in seconds on the simulated traces.
@@ -15,8 +13,6 @@ Run:  python examples/cache_design_space.py [benchmark]
 import sys
 
 from repro.cache import (
-    TimingModel,
-    direct_mapped_miss_mask,
     simulate_direct_vectorized,
     simulate_partial,
     simulate_sectored,
@@ -32,50 +28,33 @@ def main() -> None:
     name = sys.argv[1] if len(sys.argv) > 1 else "cccp"
     runner = cached_runner()
     addresses = runner.addresses(name, "optimized")
-    model = TimingModel(initial_latency=10)
 
     rows = []
     for cache_bytes in CACHE_SIZES:
         for block_bytes in BLOCK_SIZES:
-            whole = simulate_direct_vectorized(
-                addresses, cache_bytes, block_bytes
+            fills = (
+                simulate_direct_vectorized(
+                    addresses, cache_bytes, block_bytes
+                ),
+                simulate_partial(addresses, cache_bytes, block_bytes),
+                simulate_sectored(
+                    addresses, cache_bytes, block_bytes, min(8, block_bytes)
+                ),
             )
-            mask = direct_mapped_miss_mask(
-                addresses, cache_bytes, block_bytes
-            )
-            timing = model.evaluate(addresses, mask, block_bytes)
-            partial = simulate_partial(addresses, cache_bytes, block_bytes)
-            partial_timing = model.evaluate_partial(
-                partial.accesses, partial.misses
-            )
-            sector = simulate_sectored(
-                addresses, cache_bytes, block_bytes, min(8, block_bytes)
-            )
-            rows.append([
-                f"{cache_bytes}B/{block_bytes}B",
-                fmt_pct(whole.miss_ratio),
-                fmt_pct(whole.traffic_ratio),
-                f"{timing.effective_access_time:.3f}",
-                fmt_pct(partial.miss_ratio),
-                f"{partial_timing.effective_access_time:.3f}",
-                fmt_pct(sector.miss_ratio),
-                fmt_pct(sector.traffic_ratio),
-            ])
+            row = [f"{cache_bytes}B/{block_bytes}B"]
+            for stats in fills:
+                row += [fmt_pct(stats.miss_ratio),
+                        fmt_pct(stats.traffic_ratio)]
+            rows.append(row)
 
     print(render_table(
         f"Instruction cache design space — {name} (optimized layout)",
-        ["cache/block", "miss", "traffic", "EAT",
-         "partial miss", "partial EAT", "sector miss", "sector traffic"],
+        ["cache/block", "whole miss", "whole traffic", "partial miss",
+         "partial traffic", "sector miss", "sector traffic"],
         rows,
-        note="EAT = estimated cycles per instruction access "
-        "(timing model of Section 4.2.1, 10-cycle memory latency).",
+        note="whole = whole-block fill; partial = load from the missed "
+        "word to the block end; sector = 8B sectors.",
     ))
-
-    best = min(
-        rows,
-        key=lambda row: float(row[3]),
-    )
-    print(f"Lowest whole-block EAT: {best[0]} at {best[3]} cycles/access")
 
 
 if __name__ == "__main__":

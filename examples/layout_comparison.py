@@ -1,9 +1,9 @@
 """Compare code layouts on a paper workload.
 
 For one benchmark (default: lex, the paper's most layout-sensitive
-program), measure the direct-mapped miss ratio of four layouts across the
-paper's cache sizes: the optimized IMPACT-I placement, the natural
-declaration order, a hot-blocks-first strawman, and a random layout.
+program), measure the direct-mapped miss ratio of three layouts across
+the paper's cache sizes: the optimized IMPACT-I placement, the natural
+declaration order, and a random layout.
 
 Run:  python examples/layout_comparison.py [benchmark]
 """
@@ -13,7 +13,6 @@ import sys
 from repro.cache import simulate_direct_vectorized
 from repro.experiments.report import fmt_pct, render_table
 from repro.engine import cached_runner
-from repro.placement import hot_first_image
 
 CACHE_SIZES = (8192, 4096, 2048, 1024, 512)
 BLOCK_BYTES = 64
@@ -22,18 +21,12 @@ BLOCK_BYTES = 64
 def main() -> None:
     name = sys.argv[1] if len(sys.argv) > 1 else "lex"
     runner = cached_runner()
-    art = runner.artifacts(name)
 
     layouts = {
         "optimized": runner.addresses(name, "optimized"),
         "natural": runner.addresses(name, "natural"),
         "random": runner.addresses(name, "random"),
     }
-    # Hot-first is built on the original program and its profile.
-    hot_image = hot_first_image(
-        art.original_program, art.placement.pre_inline_profile
-    )
-    layouts["hot-first"] = art.original_trace.addresses(hot_image)
 
     rows = []
     for label, addresses in layouts.items():

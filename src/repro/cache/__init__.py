@@ -16,13 +16,6 @@ from repro.cache.set_assoc import (
     simulate_fully_associative,
     simulate_set_associative,
 )
-from repro.cache.timing import TimingModel, TimingResult
-from repro.cache.tracefile import (
-    load_trace_binary,
-    load_trace_text,
-    save_trace_binary,
-    save_trace_text,
-)
 from repro.cache.vectorized import (
     direct_mapped_miss_mask,
     simulate_direct_vectorized,
@@ -35,8 +28,6 @@ __all__ = [
     "PagingStats",
     "PrefetchStats",
     "WorkingSetStats",
-    "TimingModel",
-    "TimingResult",
     "direct_mapped_miss_mask",
     "require_power_of_two",
     "simulate_direct",
@@ -49,8 +40,4 @@ __all__ = [
     "simulate_sectored_paging",
     "simulate_set_associative",
     "working_set_profile",
-    "load_trace_binary",
-    "load_trace_text",
-    "save_trace_binary",
-    "save_trace_text",
 ]

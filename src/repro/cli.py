@@ -886,7 +886,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
                 entry.workload,
                 entry.scale,
                 f"{entry.nbytes / 1024:.1f}K",
-                entry.hits,
                 time.strftime(
                     "%Y-%m-%d %H:%M", time.localtime(entry.last_used)
                 ),
@@ -895,7 +894,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         ]
         print(render_table(
             f"Artifact cache at {store.root}",
-            ["key", "workload", "scale", "size", "hits", "last used"],
+            ["key", "workload", "scale", "size", "last used"],
             rows,
         ))
     elif args.cache_command == "stats":
@@ -903,7 +902,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         print(f"root:               {stats['root']}")
         print(f"entries:            {stats['entries']}")
         print(f"bytes:              {stats['bytes']}")
-        print(f"persisted hits:     {stats['persisted_hits']}")
         print(f"quarantine entries: {stats['quarantine_entries']}")
         print(f"quarantine bytes:   {stats['quarantine_bytes']}")
     elif args.cache_command == "verify":

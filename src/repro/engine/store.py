@@ -13,7 +13,7 @@ change an artifact automatically invalidates it.  Entries persist under
 ``~/.cache/repro`` (override with ``--cache-dir`` or ``REPRO_CACHE_DIR``)
 as one directory per key::
 
-    <root>/objects/<key>/meta.json       provenance, checksums, hit counts
+    <root>/objects/<key>/meta.json       provenance, checksums
     <root>/objects/<key>/profiles.json   context table, profile documents
     <root>/objects/<key>/arrays.npz      context counts, block traces
     <root>/quarantine/<key>[...]         entries that failed verification
@@ -34,6 +34,12 @@ Integrity and concurrency guarantees:
   processes never observe half-published entries or race evictions;
 * ``index.json`` is derived state: when missing or unparsable it is
   rebuilt from ``objects/`` (:meth:`ArtifactStore.load_index`).
+
+A hit writes nothing but one timestamp: ``meta.json``'s mtime is the
+entry's last use, stamped by ``put`` and re-stamped by every verified
+hit with a single ``os.utime`` (no lock, no rewrite).  Both stamps come
+from ``time.time_ns()``, so LRU order does not depend on the host's
+file-timestamp granularity.
 
 :meth:`ArtifactStore.verify` checks every entry and quarantines the
 corrupt ones (``repro cache verify`` on the CLI).  Least-recently-used
@@ -188,8 +194,7 @@ class StoreEntry:
     workload: str
     scale: str
     created: float
-    last_used: float
-    hits: int
+    last_used: float      # meta.json's mtime
     nbytes: int
 
 
@@ -201,8 +206,7 @@ class ArtifactStore:
     """A content-addressed, LRU-evicted, integrity-checked artifact cache.
 
     ``hits``/``misses``/``quarantined`` count this process's lookups (for
-    telemetry); the persisted per-entry hit counts aggregate across
-    processes.
+    telemetry); nothing per-hit is persisted beyond the manifest's mtime.
     """
 
     def __init__(
@@ -341,9 +345,10 @@ class ArtifactStore:
 
         Corrupt entries (bad checksum, truncated archive, unparsable
         JSON, missing manifest) are quarantined so the next lookup pays
-        only a directory miss, not another failed parse.  With
-        ``decode=False`` the entry is verified and its hit recorded
-        exactly as on a full read, but the payload files are not decoded:
+        only a directory miss, not another failed parse.  A hit stamps
+        the manifest's mtime (:meth:`_touch`).  With ``decode=False`` the
+        entry is verified and its hit recorded exactly as on a full read,
+        but the payload files are not decoded:
         the payload carries ``meta`` only (``profiles`` and ``arrays``
         are ``None``).  That serves a caller that already holds what
         these checksum-identical bytes decode to.
@@ -360,13 +365,18 @@ class ArtifactStore:
             self.misses += 1
             return None
         self.hits += 1
-        meta["hits"] = int(meta.get("hits", 0)) + 1
-        meta["last_used"] = time.time()
-        with self._lock():
-            self._write_json(
-                os.path.join(self._entry_dir(key), "meta.json"), meta
-            )
+        self._touch(os.path.join(self._entry_dir(key), "meta.json"))
         return ArtifactPayload(profiles=profiles, arrays=arrays, meta=meta)
+
+    @staticmethod
+    def _touch(meta_path: str) -> None:
+        """Stamp an entry's last use as its manifest's mtime; a read-only
+        store or a concurrent eviction leaves it as it was."""
+        now = time.time_ns()
+        try:
+            os.utime(meta_path, ns=(now, now))
+        except OSError:
+            pass
 
     def _read_entry(
         self, key: str, decode: bool = True
@@ -455,15 +465,13 @@ class ArtifactStore:
         stage = os.path.join(self.root, f"tmp-{key}-{os.getpid()}")
         try:
             os.makedirs(stage, exist_ok=True)
-            now = time.time()
             profiles_bytes = json.dumps(payload.profiles).encode()
             buffer = io.BytesIO()
             np.savez_compressed(buffer, **payload.arrays)
             arrays_bytes = buffer.getvalue()
             meta = dict(payload.meta)
             meta.update(
-                format=ENTRY_FORMAT, key=key, created=now,
-                last_used=now, hits=0,
+                format=ENTRY_FORMAT, key=key, created=time.time(),
                 checksums={
                     "profiles.json": hashlib.sha256(profiles_bytes).hexdigest(),
                     "arrays.npz": hashlib.sha256(arrays_bytes).hexdigest(),
@@ -478,6 +486,7 @@ class ArtifactStore:
             with open(os.path.join(stage, "arrays.npz"), "wb") as handle:
                 handle.write(arrays_bytes)
             self._write_json(os.path.join(stage, "meta.json"), meta)
+            self._touch(os.path.join(stage, "meta.json"))
             with self._lock():
                 os.makedirs(self.objects_dir, exist_ok=True)
                 try:
@@ -505,6 +514,7 @@ class ArtifactStore:
             try:
                 with open(os.path.join(entry_dir, "meta.json")) as handle:
                     meta = json.load(handle)
+                    last_used = os.fstat(handle.fileno()).st_mtime
                 nbytes = sum(
                     os.path.getsize(os.path.join(entry_dir, name))
                     for name in os.listdir(entry_dir)
@@ -516,8 +526,7 @@ class ArtifactStore:
                 workload=meta.get("workload", "?"),
                 scale=meta.get("scale", "?"),
                 created=float(meta.get("created", 0.0)),
-                last_used=float(meta.get("last_used", 0.0)),
-                hits=int(meta.get("hits", 0)),
+                last_used=last_used,
                 nbytes=nbytes,
             ))
         return results
@@ -561,7 +570,6 @@ class ArtifactStore:
             "root": self.root,
             "entries": len(entries),
             "bytes": sum(entry.nbytes for entry in entries),
-            "persisted_hits": sum(entry.hits for entry in entries),
             "session_hits": self.hits,
             "session_misses": self.misses,
             "session_quarantined": self.quarantined,
@@ -694,7 +702,7 @@ class ArtifactStore:
         indexed ``bytes`` are summed for the budget check; a missing or
         unparsable index, or a total over ``max_bytes``, falls back to
         the full LRU prune, which ranks entries by their ``meta.json``
-        (the index's ``last_used`` and ``hits`` lag behind lookups).
+        mtime.
         """
         path = os.path.join(self.root, "index.json")
         entry_dir = self._entry_dir(key)
@@ -708,8 +716,6 @@ class ArtifactStore:
                 "workload": meta.get("workload", "?"),
                 "scale": meta.get("scale", "?"),
                 "created": meta["created"],
-                "last_used": meta["last_used"],
-                "hits": 0,
                 "bytes": sum(
                     os.path.getsize(os.path.join(entry_dir, name))
                     for name in os.listdir(entry_dir)
@@ -740,8 +746,6 @@ class ArtifactStore:
                         "workload": entry.workload,
                         "scale": entry.scale,
                         "created": entry.created,
-                        "last_used": entry.last_used,
-                        "hits": entry.hits,
                         "bytes": entry.nbytes,
                     }
                     for entry in entries

@@ -1,8 +1,6 @@
 """The paper's contribution: profile-guided instruction placement."""
 
 from repro.placement.baselines import (
-    hot_first_image,
-    hot_first_order,
     natural_image,
     natural_order,
     random_image,
@@ -75,8 +73,6 @@ __all__ = [
     "assemble_block_order",
     "conflict_aware_image",
     "conflict_aware_order",
-    "hot_first_image",
-    "hot_first_order",
     "inline_expand",
     "inline_stats",
     "layout_function",

@@ -8,28 +8,20 @@ well:
   what a compiler without placement optimization emits.
 * **random** — functions and intra-function block order shuffled with a
   seeded RNG; a worst-plausible layout useful for bounding the effect.
-* **hot-first** — blocks sorted by profile weight within the natural
-  function order; a naive profile-guided strawman that maximises neither
-  sequential locality nor conflict avoidance.
 """
 
 from __future__ import annotations
 
 import random
 
-import numpy as np
-
 from repro.ir.program import Program
 from repro.placement.image import MemoryImage
-from repro.placement.profile_data import ProfileData
 
 __all__ = [
     "natural_order",
     "natural_image",
     "random_order",
     "random_image",
-    "hot_first_order",
-    "hot_first_image",
 ]
 
 
@@ -65,24 +57,3 @@ def random_image(program: Program, seed: int = 0, **kwargs) -> MemoryImage:
     """Link the program in a seeded random order."""
     return MemoryImage.build(program, random_order(program, seed), **kwargs)
 
-
-def hot_first_order(program: Program, profile: ProfileData) -> list[int]:
-    """Within each function, hottest blocks first (entry pinned first)."""
-    weights = profile.block_weights
-    order: list[int] = []
-    for function in program:
-        bids = [block.bid for block in function.blocks]
-        entry = bids[0]
-        rest = sorted(bids[1:], key=lambda b: -int(weights[b]))
-        order.append(entry)  # type: ignore[arg-type]
-        order.extend(rest)   # type: ignore[arg-type]
-    return order
-
-
-def hot_first_image(
-    program: Program, profile: ProfileData, **kwargs
-) -> MemoryImage:
-    """Link the program with hottest-block-first function bodies."""
-    return MemoryImage.build(
-        program, hot_first_order(program, profile), **kwargs
-    )

@@ -21,12 +21,10 @@ from __future__ import annotations
 
 import random
 
-from repro.ir.builder import FunctionBuilder, ProgramBuilder
+from repro.ir.builder import ProgramBuilder
 
 __all__ = [
     "add_generated_handler",
-    "add_dispatch_chain",
-    "add_table_init",
     "handler_family",
 ]
 
@@ -118,66 +116,6 @@ def _arith_burst(block, rng: random.Random, count: int,
         else:
             getattr(block, op)(acc, acc, rng.randint(1, 255))
     block.and_(acc, acc, 0xFFFFF)
-
-
-def add_dispatch_chain(
-    f: FunctionBuilder,
-    prefix: str,
-    value_reg: str,
-    handlers: list[str],
-    join: str,
-    default: str | None = None,
-    arg_reg: str = "r1",
-) -> str:
-    """Emit a switch lowered to a compare chain that calls one handler.
-
-    For each handler ``i`` a compare block tests ``value_reg == i`` and a
-    call block invokes the handler with ``arg_reg`` already set by the
-    caller; all call continuations converge on ``join``.  Returns the
-    label of the first compare block.  Unmatched values go to ``default``
-    (or straight to ``join``).
-    """
-    fallback = default if default is not None else join
-    first = f"{prefix}_c0"
-    for i, handler in enumerate(handlers):
-        is_last = i == len(handlers) - 1
-        next_label = fallback if is_last else f"{prefix}_c{i + 1}"
-        b = f.block(f"{prefix}_c{i}")
-        b.beq(value_reg, i, taken=f"{prefix}_do{i}", fall=next_label)
-        b = f.block(f"{prefix}_do{i}")
-        b.call(handler, cont=join)
-    return first
-
-
-def add_table_init(
-    pb: ProgramBuilder,
-    name: str,
-    base: int,
-    length: int,
-    stride_value: int = 7,
-) -> None:
-    """Generate a table-initialisation function (one loop of stores).
-
-    Real table-driven programs (lex, yacc) spend their start-up writing
-    tables; the code is executed once, so it lands in the effective region
-    with near-minimal weight — useful mass for realistic layouts.
-    """
-    f = pb.function(name)
-    b = f.block("entry")
-    b.li("r8", 0)
-    b.li("r9", base)
-    b.jmp("head")
-    b = f.block("head")
-    b.bge("r8", length, taken="done", fall="body")
-    b = f.block("body")
-    b.mul("r10", "r8", stride_value)
-    b.rem("r10", "r10", 251)
-    b.st("r10", "r9", 0)
-    b.add("r9", "r9", 1)
-    b.add("r8", "r8", 1)
-    b.jmp("head")
-    b = f.block("done")
-    b.ret()
 
 
 def handler_family(

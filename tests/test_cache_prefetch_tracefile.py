@@ -1,15 +1,9 @@
-"""Unit tests for the prefetch simulator and the trace file formats."""
+"""Unit tests for the prefetch simulator."""
 
 import numpy as np
 import pytest
 
 from repro.cache.prefetch import simulate_prefetch
-from repro.cache.tracefile import (
-    load_trace_binary,
-    load_trace_text,
-    save_trace_binary,
-    save_trace_text,
-)
 from repro.cache.vectorized import simulate_direct_vectorized
 
 
@@ -73,64 +67,3 @@ class TestPrefetch:
         assert stats.demand_misses == 2
         assert stats.prefetches == 1
 
-
-class TestTraceFiles:
-    def test_text_roundtrip(self, tmp_path):
-        trace = _seq(0x1000, 20)
-        path = str(tmp_path / "trace.txt")
-        save_trace_text(trace, path, comment="unit test\nsecond line")
-        restored = load_trace_text(path)
-        assert np.array_equal(restored, trace)
-
-    def test_text_ignores_comments_and_blanks(self, tmp_path):
-        path = str(tmp_path / "trace.txt")
-        with open(path, "w") as handle:
-            handle.write("# header\n\n10\n20  # inline comment\n")
-        restored = load_trace_text(path)
-        assert list(restored) == [0x10, 0x20]
-
-    def test_text_rejects_garbage(self, tmp_path):
-        path = str(tmp_path / "trace.txt")
-        with open(path, "w") as handle:
-            handle.write("zzz\n")
-        with pytest.raises(ValueError, match="not a hex address"):
-            load_trace_text(path)
-
-    def test_binary_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(2)
-        trace = (rng.integers(0, 1 << 40, 500) * 4).astype(np.int64)
-        path = str(tmp_path / "trace.bin")
-        save_trace_binary(trace, path)
-        assert np.array_equal(load_trace_binary(path), trace)
-
-    def test_binary_magic_checked(self, tmp_path):
-        path = str(tmp_path / "bad.bin")
-        with open(path, "wb") as handle:
-            handle.write(b"NOTMAGIC" + b"\x00" * 8)
-        with pytest.raises(ValueError, match="not a repro trace"):
-            load_trace_binary(path)
-
-    def test_binary_truncation_detected(self, tmp_path):
-        trace = _seq(0, 10)
-        path = str(tmp_path / "trace.bin")
-        save_trace_binary(trace, path)
-        with open(path, "r+b") as handle:
-            handle.truncate(16 + 8 * 5)   # drop half the payload
-        with pytest.raises(ValueError, match="truncated"):
-            load_trace_binary(path)
-
-    def test_saved_trace_feeds_simulators(self, tmp_path):
-        trace = _seq(0, 100)
-        path = str(tmp_path / "trace.bin")
-        save_trace_binary(trace, path)
-        stats = simulate_direct_vectorized(load_trace_binary(path), 1024, 64)
-        assert stats.accesses == 100
-
-    def test_empty_traces_roundtrip(self, tmp_path):
-        empty = np.empty(0, np.int64)
-        tpath = str(tmp_path / "t.txt")
-        bpath = str(tmp_path / "t.bin")
-        save_trace_text(empty, tpath)
-        save_trace_binary(empty, bpath)
-        assert len(load_trace_text(tpath)) == 0
-        assert len(load_trace_binary(bpath)) == 0

@@ -1,10 +1,9 @@
-"""Unit tests for the vectorised simulator and the timing model."""
+"""Unit tests for the vectorised direct-mapped simulator."""
 
 import numpy as np
 import pytest
 
 from repro.cache.direct import simulate_direct
-from repro.cache.timing import TimingModel
 from repro.cache.vectorized import (
     direct_mapped_miss_mask,
     simulate_direct_vectorized,
@@ -43,52 +42,3 @@ class TestVectorized:
         with pytest.raises(ValueError):
             simulate_direct_vectorized(np.array([0]), 64, 128)
 
-
-class TestTimingModel:
-    def test_no_misses_no_stalls(self):
-        model = TimingModel(initial_latency=10)
-        trace = np.asarray([0, 4, 8], dtype=np.int64)
-        result = model.evaluate(trace, np.zeros(3, dtype=bool), 64)
-        assert result.stall_cycles == 0
-        assert result.effective_access_time == 1.0
-
-    def test_block_start_miss_costs_latency_only(self):
-        model = TimingModel(initial_latency=10)
-        trace = np.asarray([0], dtype=np.int64)
-        result = model.evaluate(trace, np.ones(1, dtype=bool), 64)
-        assert result.stall_cycles == 10
-
-    def test_mid_block_miss_adds_front_repair(self):
-        model = TimingModel(initial_latency=10)
-        trace = np.asarray([32], dtype=np.int64)  # word 8 of a 64B block
-        result = model.evaluate(trace, np.ones(1, dtype=bool), 64)
-        assert result.stall_cycles == 10 + 8
-
-    def test_total_cycles(self):
-        model = TimingModel(initial_latency=5)
-        trace = np.asarray([0, 4, 64], dtype=np.int64)
-        miss = np.asarray([True, False, True])
-        result = model.evaluate(trace, miss, 64)
-        assert result.total_cycles == 3 + 2 * 5
-        assert result.effective_access_time == pytest.approx(13 / 3)
-
-    def test_partial_variant_has_no_front_repair(self):
-        model = TimingModel(initial_latency=10)
-        result = model.evaluate_partial(accesses=100, misses=4)
-        assert result.stall_cycles == 40
-
-    def test_mismatched_mask_rejected(self):
-        model = TimingModel()
-        with pytest.raises(ValueError):
-            model.evaluate(
-                np.asarray([0, 4], dtype=np.int64),
-                np.zeros(3, dtype=bool),
-                64,
-            )
-
-    def test_empty_trace_has_zero_eat(self):
-        model = TimingModel()
-        result = model.evaluate(
-            np.empty(0, np.int64), np.empty(0, bool), 64
-        )
-        assert result.effective_access_time == 0.0

@@ -111,13 +111,29 @@ class TestStore:
             index = json.load(handle)
         assert set(index["entries"]) == {"c" * 24, "d" * 24}
 
-    def test_hit_counts_persist(self, tmp_path):
+    def test_hits_write_nothing_but_the_manifest_mtime(
+        self, tmp_path, monkeypatch
+    ):
         store = ArtifactStore(tmp_path)
         store.put("e" * 24, _payload())
-        store.get("e" * 24)
-        store.get("e" * 24)
-        (entry,) = store.entries()
-        assert entry.hits == 2
+        meta_path = os.path.join(store._entry_dir("e" * 24), "meta.json")
+        with open(meta_path, "rb") as handle:
+            before = handle.read()
+
+        def no_lock(self):
+            raise AssertionError("a hit took the store lock")
+
+        monkeypatch.setattr(ArtifactStore, "_lock", no_lock)
+        for decode in (True, False):
+            # Backdated, so the check does not depend on the host's
+            # file-timestamp granularity.
+            os.utime(meta_path, ns=(10**9, 10**9))
+            assert store.get("e" * 24, decode=decode) is not None
+            (entry,) = store.entries()
+            assert entry.last_used > 1.0
+            with open(meta_path, "rb") as handle:
+                assert handle.read() == before
+        assert store.hits == 2
 
     def test_clear(self, tmp_path):
         store = ArtifactStore(tmp_path)

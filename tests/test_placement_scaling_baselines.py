@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.placement.baselines import (
-    hot_first_order,
     natural_image,
     natural_order,
     random_order,
@@ -74,20 +73,3 @@ class TestBaselines:
             if not seen or seen[-1] != name:
                 assert name not in seen
                 seen.append(name)
-
-    def test_hot_first_pins_entry(self, call_program, call_profile):
-        order = hot_first_order(call_program, call_profile)
-        first_of_each = {}
-        for bid in order:
-            name = call_program.block_function[bid]
-            first_of_each.setdefault(name, bid)
-        for function in call_program:
-            assert first_of_each[function.name] == function.entry.bid
-
-    def test_hot_first_sorts_by_weight(self, branchy_program):
-        from repro.interp.profiler import profile_program
-
-        profile = profile_program(branchy_program, [[2, 4, 6]])
-        order = hot_first_order(branchy_program, profile)
-        weights = [int(profile.block_weights[b]) for b in order[1:]]
-        assert weights == sorted(weights, reverse=True)

@@ -10,7 +10,6 @@ fully-associative shadows) is computed once per (granule, capacity).
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import threading
@@ -70,11 +69,26 @@ def explain(workload: str, store_dir: str | None, geometry=(2048, 64, 1)):
     return values[f"explain:{workload}"], telemetry.totals()
 
 
-def entry_hits(store_dir: str, workload: str) -> int:
+def manifest(store_dir: str, workload: str) -> str:
     key = artifact_key(workload, SCALE, PlacementOptions().opt)
-    path = os.path.join(store_dir, "objects", key, "meta.json")
-    with open(path) as handle:
-        return json.load(handle)["hits"]
+    return os.path.join(store_dir, "objects", key, "meta.json")
+
+
+def backdate_manifest(store_dir: str, workload: str) -> bytes:
+    """Stamp an entry's manifest 1 s past the epoch; returns its bytes."""
+    path = manifest(store_dir, workload)
+    os.utime(path, ns=(10**9, 10**9))
+    with open(path, "rb") as handle:
+        return handle.read()
+
+
+def hit_recorded(store_dir: str, workload: str, before: bytes) -> bool:
+    """Whether a lookup since :func:`backdate_manifest` stamped the
+    manifest's mtime; it must leave the manifest's bytes as they were."""
+    path = manifest(store_dir, workload)
+    with open(path, "rb") as handle:
+        assert handle.read() == before
+    return os.stat(path).st_mtime_ns > 10**9
 
 
 def test_grid_explains_identical_with_memo_and_without(tmp_path):
@@ -105,19 +119,23 @@ def test_store_accounting_unchanged_by_memo(tmp_path):
     store_dir = str(tmp_path)
     stream = ["wc", "cmp", "wc", "wc", "cmp", "tee", "wc", "tee"]
     hits = misses = memo_hits = 0
-    for name in stream:
+    for i, name in enumerate(stream):
+        stored = name in stream[:i]
+        if stored:
+            before = backdate_manifest(store_dir, name)
         _output, totals = explain(name, store_dir)
         hits += totals["store_hits"]
         misses += totals["store_misses"]
         memo_hits += totals["memo_hits"]
+        # Every hit, memo hits included, stamps the entry's last use.
+        if stored:
+            assert hit_recorded(store_dir, name, before)
     # Every request reads the store: the first of each program misses
     # and every later one is a store hit, whether or not the memo then
     # answers the hydration.  A computed entry is not memoized, so only
     # the third and later requests for one program are memo hits.
     assert (hits, misses) == (5, 3)
     assert memo_hits == 2
-    for name in ("wc", "cmp", "tee"):
-        assert entry_hits(store_dir, name) == stream.count(name) - 1
 
 
 def test_cleared_store_misses_and_reinterprets(tmp_path):
@@ -272,9 +290,10 @@ def test_memo_hit_verifies_the_entry_without_decoding_it(
         raise AssertionError("a memo hit decoded the entry")
 
     monkeypatch.setattr(np, "load", no_decode)
+    before = backdate_manifest(store_dir, "wc")
     _output, totals = explain("wc", store_dir)
     assert (totals["store_hits"], totals["memo_hits"]) == (1, 1)
-    assert entry_hits(store_dir, "wc") == 2
+    assert hit_recorded(store_dir, "wc", before)
 
 
 def test_memo_hit_on_a_damaged_entry_is_a_quarantined_miss(tmp_path):

@@ -6,9 +6,7 @@ from repro.interp.interpreter import run_program
 from repro.ir.builder import ProgramBuilder
 from repro.ir.validate import validate_program
 from repro.workloads.synth import (
-    add_dispatch_chain,
     add_generated_handler,
-    add_table_init,
     handler_family,
 )
 
@@ -97,56 +95,3 @@ class TestHandlerFamily:
         p1, p2 = pb1.build(), pb2.build()
         assert p1.num_instructions == p2.num_instructions
 
-
-class TestDispatchChain:
-    def test_dispatch_reaches_selected_handler(self):
-        pb = ProgramBuilder()
-        for i in range(3):
-            f = pb.function(f"h{i}")
-            b = f.block("entry")
-            b.li("r1", 100 + i)
-            b.ret()
-        f = pb.function("main")
-        b = f.block("entry")
-        b.in_("r5")
-        b.jmp("sw_c0")
-        add_dispatch_chain(
-            f, "sw", "r5", [f"h{i}" for i in range(3)], join="join"
-        )
-        b = f.block("join")
-        b.out("r1")
-        b.halt()
-        program = pb.build()
-        for i in range(3):
-            assert run_program(program, [i]).output == [100 + i]
-
-    def test_unmatched_value_goes_to_join(self):
-        pb = ProgramBuilder()
-        f = pb.function("h0")
-        b = f.block("entry")
-        b.li("r1", 100)
-        b.ret()
-        f = pb.function("main")
-        b = f.block("entry")
-        b.li("r1", -7)
-        b.in_("r5")
-        b.jmp("sw_c0")
-        add_dispatch_chain(f, "sw", "r5", ["h0"], join="join")
-        b = f.block("join")
-        b.out("r1")
-        b.halt()
-        program = pb.build()
-        assert run_program(program, [99]).output == [-7]
-
-
-class TestTableInit:
-    def test_table_written_deterministically(self):
-        pb = ProgramBuilder()
-        add_table_init(pb, "init", base=0x50, length=20)
-        f = pb.function("main")
-        b = f.block("entry")
-        b.call("init", cont="done")
-        f.block("done").halt()
-        result = run_program(pb.build())
-        for i in range(20):
-            assert result.state.read(0x50 + i) == (i * 7) % 251
