@@ -418,9 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
     slo_check.add_argument("--slo", default=None, metavar="FILE",
                            help="SLO objectives file (repro-slo-v1; "
                                 "default: built-in service objectives)")
-    slo_check.add_argument("--ledger", default=None, metavar="PATH",
-                           help="perf ledger backing the file's 'ledger' "
-                                "objectives (absent: those are skipped)")
 
     perf = sub.add_parser(
         "perf",
@@ -833,31 +830,23 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    from repro.cache.base import cache_sets
     from repro.engine.jobs import request_plan
     from repro.engine.scheduler import ExperimentFailure, run_jobs
-    from repro.workloads.registry import workload_names
+    from repro.service.schemas import RequestError, normalize_request
 
-    if args.workload not in workload_names():
-        print(
-            f"repro explain: unknown workload {args.workload!r}; "
-            f"known: {', '.join(workload_names())}",
-            file=sys.stderr,
-        )
-        return 2
-    if not _check_opt(args.opt, "explain"):
-        return 2
+    # The daemon's validation, so the CLI and ``repro serve`` accept the
+    # same requests; it runs before any artifact is built.
     try:
-        cache_sets(args.cache_bytes, args.block_bytes, args.assoc)
-    except ValueError as exc:
+        request = normalize_request({
+            "kind": "explain", "workload": args.workload,
+            "scale": args.scale, "cache_bytes": args.cache_bytes,
+            "block_bytes": args.block_bytes, "assoc": args.assoc,
+            "layout": args.layout, "baseline": args.baseline,
+            "top": args.top, "opt": args.opt or "none",
+        })
+    except RequestError as exc:
         print(f"repro explain: {exc}", file=sys.stderr)
         return 2
-    request = {
-        "kind": "explain", "workload": args.workload, "scale": args.scale,
-        "cache_bytes": args.cache_bytes, "block_bytes": args.block_bytes,
-        "assoc": args.assoc, "layout": args.layout,
-        "baseline": args.baseline, "top": args.top, "opt": args.opt,
-    }
     try:
         values = run_jobs(request_plan(request), cache_dir=args.cache_dir,
                           use_cache=not args.no_cache)
@@ -1153,19 +1142,8 @@ def _cmd_slo(args: argparse.Namespace) -> int:
         print(f"repro slo check: cannot read {args.document}: {exc}",
               file=sys.stderr)
         return 2
-    ledger_records = None
-    if args.ledger:
-        from repro.perf.ledger import LedgerError, PerfLedger
-
-        try:
-            ledger_records = PerfLedger(args.ledger).read().records
-        except LedgerError as exc:
-            print(f"repro slo check: {exc}", file=sys.stderr)
-            return 2
     try:
-        results = evaluate_slo(
-            document, slo=slo, ledger_records=ledger_records,
-        )
+        results = evaluate_slo(document, slo=slo)
     except SloError as exc:
         print(f"repro slo check: {exc}", file=sys.stderr)
         return 2

@@ -132,6 +132,7 @@ def _render_opt_section(
         scale=runner.scale,
         options=dc_replace(runner.options, opt=opt_options),
         store=runner.store,
+        telemetry=runner.telemetry,
     )
     collector = diagnose.Collector()
     with diagnose.use(collector):

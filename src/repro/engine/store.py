@@ -521,11 +521,18 @@ class ArtifactStore:
                 )
             except (OSError, json.JSONDecodeError):
                 continue
+            if not isinstance(meta, dict):
+                continue
+            try:
+                created = float(meta.get("created", 0.0))
+            except (TypeError, ValueError):
+                # Still listed, so LRU can evict it.
+                created = 0.0
             results.append(StoreEntry(
                 key=key,
                 workload=meta.get("workload", "?"),
                 scale=meta.get("scale", "?"),
-                created=float(meta.get("created", 0.0)),
+                created=created,
                 last_used=last_used,
                 nbytes=nbytes,
             ))

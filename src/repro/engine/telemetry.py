@@ -18,8 +18,7 @@ trajectory records.
 from __future__ import annotations
 
 import json
-import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 from repro.obs.metrics import MetricsRegistry
 
@@ -42,6 +41,9 @@ class JobRecord:
     this process already did (the runner's process-wide memo).
     ``wall_s`` of a table record includes its artifact rehydrations, so
     walls are reported per record rather than summed in totals.
+    ``key`` is the artifact-store entry an ``artifacts`` record read or
+    created (``None`` without a store), so a run's records name the
+    entries it touched.
     """
 
     job_id: str
@@ -51,7 +53,7 @@ class JobRecord:
     store: str = "off"
     memo_hits: int = 0
     trace_blocks: int = 0
-    detail: dict = field(default_factory=dict)
+    key: str | None = None
 
 
 class Telemetry:
@@ -81,10 +83,6 @@ class Telemetry:
 
     def extend(self, records: list[JobRecord]) -> None:
         self.records.extend(records)
-
-    def timer(self) -> float:
-        """Monotonic start timestamp; pair with another call to measure."""
-        return time.perf_counter()
 
     def totals(self) -> dict:
         """Aggregates the acceptance checks and benchmarks key off.

@@ -269,6 +269,7 @@ class ExperimentRunner:
                 store=outcome,
                 memo_hits=memo_hits,
                 trace_blocks=len(art.trace) + len(art.original_trace),
+                key=key,
             )
         return art
 

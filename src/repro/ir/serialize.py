@@ -1,111 +1,24 @@
-"""JSON (de)serialisation of programs and profiles.
+"""JSON (de)serialisation of profiles.
 
-Makes placement artefacts portable: a program built with the DSL can be
-saved, shared, and re-loaded bit-exactly; a profile gathered on one
-machine can drive placement on another — the same separation the paper's
-profiler-to-compiler interface provides.
+A profile gathered on one run can drive placement on another — the
+same separation the paper's profiler-to-compiler interface provides.
+The experiment runner keeps the middle-end's pass profiles and the
+original program's profile in each ``--opt`` store entry this way.
 
-Formats are plain JSON-able dicts with a ``format`` version tag.
-Instruction operands serialise positionally (``[op, rd, rs1, rs2,
-imm]``) to keep large programs compact.
+The format is a plain JSON-able dict with a ``format`` version tag; a
+profile carries weights only and re-binds to its program on load.
 """
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
-from repro.ir.block import BasicBlock
-from repro.ir.function import Function
-from repro.ir.instructions import Instruction, Opcode
 from repro.ir.program import Program
-from repro.ir.validate import validate_program
 from repro.placement.profile_data import ProfileData
 
-__all__ = [
-    "program_to_dict", "program_from_dict",
-    "save_program", "load_program",
-    "profile_to_dict", "profile_from_dict",
-]
+__all__ = ["profile_to_dict", "profile_from_dict"]
 
-PROGRAM_FORMAT = "repro-program-v1"
 PROFILE_FORMAT = "repro-profile-v1"
-
-
-def program_to_dict(program: Program) -> dict:
-    """Serialise a program to a JSON-able dict."""
-    return {
-        "format": PROGRAM_FORMAT,
-        "entry": program.entry,
-        "functions": [
-            {
-                "name": function.name,
-                "is_syscall": function.is_syscall,
-                "blocks": [
-                    {
-                        "name": block.name,
-                        "taken": block.taken,
-                        "fall": block.fall,
-                        "callee": block.callee,
-                        "instructions": [
-                            [i.op.name, i.rd, i.rs1, i.rs2, i.imm]
-                            for i in block.instructions
-                        ],
-                    }
-                    for block in function.blocks
-                ],
-            }
-            for function in program
-        ],
-    }
-
-
-def program_from_dict(data: dict) -> Program:
-    """Reconstruct (and validate) a program from its dict form."""
-    if data.get("format") != PROGRAM_FORMAT:
-        raise ValueError(
-            f"not a {PROGRAM_FORMAT} document: {data.get('format')!r}"
-        )
-    functions = []
-    for fdata in data["functions"]:
-        blocks = []
-        for bdata in fdata["blocks"]:
-            instructions = [
-                Instruction(Opcode[op], rd=rd, rs1=rs1, rs2=rs2, imm=imm)
-                for op, rd, rs1, rs2, imm in bdata["instructions"]
-            ]
-            blocks.append(
-                BasicBlock(
-                    name=bdata["name"],
-                    instructions=instructions,
-                    taken=bdata["taken"],
-                    fall=bdata["fall"],
-                    callee=bdata["callee"],
-                )
-            )
-        functions.append(
-            Function(
-                name=fdata["name"],
-                blocks=blocks,
-                is_syscall=fdata["is_syscall"],
-            )
-        )
-    program = Program(functions, entry=data["entry"])
-    validate_program(program)
-    return program
-
-
-def save_program(program: Program, path: str) -> None:
-    """Write a program to a JSON file."""
-    with open(path, "w") as handle:
-        json.dump(program_to_dict(program), handle)
-
-
-def load_program(path: str) -> Program:
-    """Read a program from a JSON file."""
-    with open(path) as handle:
-        return program_from_dict(json.load(handle))
 
 
 def profile_to_dict(profile: ProfileData) -> dict:

@@ -1,4 +1,4 @@
-"""Leveled, size-rotated JSONL event log for the experiment service.
+"""Size-rotated JSONL event log for the experiment service.
 
 Every record is one JSON object per line with a fixed envelope —
 ``ts`` (epoch seconds), ``level``, ``event`` — plus ``trace``/``job``
@@ -6,10 +6,10 @@ ids whenever the record belongs to a request, so the structured log
 joins against trace-dir JSONL and journal records on the same ids.
 
 Rotation is size-based: when ``events.jsonl`` would exceed
-``max_bytes`` the file is shifted to ``events.jsonl.1`` (older
-generations shift up, the oldest beyond ``keep`` is dropped) and a
-fresh file is started.  Writes are serialised under a lock so worker
-threads can share one log.
+:data:`MAX_BYTES` the file is shifted to ``events.jsonl.1`` (older
+generations shift up, the oldest beyond :data:`KEEP` is dropped) and a
+fresh file is started; both constants are read at call time.  Writes
+are serialised under a lock so worker threads can share one log.
 
 :data:`NULL_LOG` mirrors the obs recorder contract: a no-op sink with
 ``enabled = False`` that the daemon uses when no ``--log-dir`` is
@@ -25,8 +25,14 @@ import time
 
 __all__ = ["EventLog", "NullEventLog", "NULL_LOG", "LEVELS"]
 
+#: The values of each record's ``level`` field; every record is written.
 LEVELS = ("debug", "info", "warning", "error")
-_LEVEL_RANK = {name: rank for rank, name in enumerate(LEVELS)}
+
+#: Size at which ``events.jsonl`` rotates.
+MAX_BYTES = 4 * 1024 * 1024
+
+#: Rotated generations kept (``events.jsonl.1`` .. ``events.jsonl.KEEP``).
+KEEP = 4
 
 
 class NullEventLog:
@@ -54,25 +60,13 @@ class NullEventLog:
 
 
 class EventLog:
-    """Append-only JSONL log with level filtering and size rotation."""
+    """Append-only JSONL log with size rotation."""
 
     enabled = True
 
-    def __init__(
-        self,
-        root: str,
-        name: str = "events",
-        max_bytes: int = 4 * 1024 * 1024,
-        keep: int = 4,
-        min_level: str = "debug",
-    ) -> None:
-        if min_level not in _LEVEL_RANK:
-            raise ValueError(f"unknown log level {min_level!r}")
+    def __init__(self, root: str) -> None:
         os.makedirs(root, exist_ok=True)
-        self.path = os.path.join(root, f"{name}.jsonl")
-        self.max_bytes = max_bytes
-        self.keep = keep
-        self._min_rank = _LEVEL_RANK[min_level]
+        self.path = os.path.join(root, "events.jsonl")
         self._lock = threading.Lock()
         self._handle = open(self.path, "a")
         self._size = self._handle.tell()
@@ -88,8 +82,6 @@ class EventLog:
         **fields,
     ) -> None:
         """Append one record; ids first so every line greps the same way."""
-        if _LEVEL_RANK.get(level, 0) < self._min_rank:
-            return
         record: dict = {"ts": time.time(), "level": level, "event": event}
         if trace is not None:
             record["trace"] = trace
@@ -101,7 +93,7 @@ class EventLog:
         with self._lock:
             if self._handle.closed:
                 return
-            if self._size + len(line) > self.max_bytes and self._size > 0:
+            if self._size + len(line) > MAX_BYTES and self._size > 0:
                 self._rotate()
             self._handle.write(line)
             self._handle.flush()
@@ -124,10 +116,10 @@ class EventLog:
     def _rotate(self) -> None:
         """Shift generations up and start a fresh file (lock held)."""
         self._handle.close()
-        oldest = f"{self.path}.{self.keep}"
+        oldest = f"{self.path}.{KEEP}"
         if os.path.exists(oldest):
             os.unlink(oldest)
-        for generation in range(self.keep - 1, 0, -1):
+        for generation in range(KEEP - 1, 0, -1):
             source = f"{self.path}.{generation}"
             if os.path.exists(source):
                 os.replace(source, f"{self.path}.{generation + 1}")

@@ -18,28 +18,22 @@ An SLO file is JSON::
       ]
     }
 
-Three objective shapes:
+Two objective shapes:
 
 * ``metric`` — a histogram statistic (``stat`` one of count/sum/min/
   max/mean/p50/p90/p99) or, with no ``stat``, a counter/gauge value.
 * ``ratio`` — numerator counters over denominator counters, the shape
   of error rates and hit rates.
-* ``ledger`` — a statistic over the perf ledger's history of one
-  metric (:mod:`repro.perf.ledger`)::
 
-      {"name": "table6-wall-trend", "ledger": {
-          "metric": "observability.tables.table6.wall_s",
-          "stat": "median", "window": 8}, "max": 40.0}
+Trends over the perf ledger's history are gated by ``repro perf
+check``, not here.
 
-  ``stat`` is one of last/median/mean/min/max/count over the newest
-  ``window`` records (default 8).  Ledger objectives are skipped when
-  :func:`evaluate_slo` is called without ledger records — an SLO file
-  mixing both shapes stays checkable against a bare run document.
-
-Each objective bounds its value with ``max`` and/or ``min``.  A metric
-absent from the document is a *warning*, not a violation, unless the
-objective sets ``"required": true`` — old run files predate some
-metrics and must stay checkable.
+Each objective bounds its value with ``max`` and/or ``min``; a field
+other than ``name``, ``metric``, ``stat``, ``ratio``, ``max``, ``min``
+and ``required`` fails validation.  A metric absent from the document
+is a *warning*, not a violation, unless the objective sets
+``"required": true`` — old run files predate some metrics and must
+stay checkable.
 
 :func:`evaluate_slo` accepts either a bare metrics snapshot
 (``/metrics`` JSON: counters/gauges/histograms) or a full run document
@@ -63,7 +57,7 @@ SLO_FORMAT = "repro-slo-v1"
 
 _STATS = ("count", "sum", "min", "max", "mean", "p50", "p90", "p99")
 
-_LEDGER_STATS = ("last", "median", "mean", "min", "max", "count")
+_FIELDS = {"name", "metric", "stat", "ratio", "max", "min", "required"}
 
 #: Objectives applied when no SLO file is given: the service stays
 #: responsive, requests succeed, and the result store actually caches.
@@ -122,29 +116,21 @@ def _validate(document: dict) -> dict:
         if not isinstance(objective, dict) or "name" not in objective:
             raise SloError("every objective needs a name")
         name = objective["name"]
+        unknown = sorted(set(objective) - _FIELDS)
+        if unknown:
+            raise SloError(
+                f"objective {name}: unknown field(s) {', '.join(unknown)}"
+            )
         has_metric = "metric" in objective
         has_ratio = "ratio" in objective
-        has_ledger = "ledger" in objective
-        if sum((has_metric, has_ratio, has_ledger)) != 1:
+        if has_metric == has_ratio:
             raise SloError(
-                f"objective {name}: exactly one of metric/ratio/ledger "
-                f"required"
+                f"objective {name}: exactly one of metric/ratio required"
             )
         if has_metric and "stat" in objective:
             if objective["stat"] not in _STATS:
                 raise SloError(
                     f"objective {name}: stat must be one of {_STATS}"
-                )
-        if has_ledger:
-            ledger = objective["ledger"]
-            if not isinstance(ledger, dict) or not ledger.get("metric"):
-                raise SloError(
-                    f"objective {name}: ledger needs a metric name"
-                )
-            if ledger.get("stat", "last") not in _LEDGER_STATS:
-                raise SloError(
-                    f"objective {name}: ledger stat must be one of "
-                    f"{_LEDGER_STATS}"
                 )
         if has_ratio:
             ratio = objective["ratio"]
@@ -178,35 +164,6 @@ def _as_metrics(document: dict) -> dict:
     return document
 
 
-def _lookup_ledger(records: list[dict] | None, objective: dict):
-    """(value, note) for a ledger objective."""
-    ledger = objective["ledger"]
-    name = ledger["metric"]
-    if not records:
-        return None, "no ledger records supplied (pass --ledger PATH)"
-    window = int(ledger.get("window", 8))
-    series = [
-        float(r["metrics"][name])
-        for r in records
-        if isinstance(r.get("metrics", {}).get(name), (int, float))
-        and not isinstance(r["metrics"][name], bool)
-    ][-window:]
-    if not series:
-        return None, f"ledger has no values for {name}"
-    stat = ledger.get("stat", "last")
-    if stat == "last":
-        return series[-1], None
-    if stat == "count":
-        return len(series), None
-    if stat == "mean":
-        return sum(series) / len(series), None
-    if stat == "median":
-        from statistics import median
-
-        return median(series), None
-    return {"min": min, "max": max}[stat](series), None
-
-
 def _lookup(metrics: dict, objective: dict):
     """(value, note) — value None when the metric is absent."""
     if "ratio" in objective:
@@ -238,28 +195,18 @@ def _lookup(metrics: dict, objective: dict):
     return value, None
 
 
-def evaluate_slo(
-    document: dict,
-    slo: dict | None = None,
-    ledger_records: list[dict] | None = None,
-) -> list[dict]:
+def evaluate_slo(document: dict, slo: dict | None = None) -> list[dict]:
     """Check every objective; returns one result dict per objective.
 
     Each result carries ``name``, ``status`` ("pass", "fail", or
     "skipped"), the observed ``value``, the violated or satisfied
     ``bound`` description, and a ``note`` for skips.
-    ``ledger_records`` (from :meth:`repro.perf.ledger.PerfLedger.read`)
-    back the ``ledger`` objective shape; without them those objectives
-    are skipped.
     """
     slo = _validate(dict(slo) if slo else DEFAULT_SLO)
     metrics = _as_metrics(document)
     results = []
     for objective in slo["objectives"]:
-        if "ledger" in objective:
-            value, note = _lookup_ledger(ledger_records, objective)
-        else:
-            value, note = _lookup(metrics, objective)
+        value, note = _lookup(metrics, objective)
         if value is None:
             status = "fail" if objective.get("required") else "skipped"
             results.append({

@@ -55,11 +55,6 @@ class TraceContext:
     trace_id: str
     parent_span: int | None = None
 
-    def to_header(self) -> str:
-        if self.parent_span is None:
-            return self.trace_id
-        return f"{self.trace_id}-{self.parent_span}"
-
     @classmethod
     def from_header(cls, value: str) -> "TraceContext":
         """Parse an ``X-Repro-Trace`` header; raises ValueError if bad."""

@@ -6,10 +6,7 @@ from repro.placement.baselines import (
     random_image,
     random_order,
 )
-from repro.placement.conflict_aware import (
-    conflict_aware_image,
-    conflict_aware_order,
-)
+from repro.placement.conflict_aware import conflict_aware_order
 from repro.placement.estimate import CacheEstimate, estimate_direct_mapped
 from repro.placement.function_layout import FunctionLayout, layout_function
 from repro.placement.global_layout import (
@@ -33,7 +30,6 @@ from repro.placement.pipeline import (
 from repro.placement.pettis_hansen import (
     pettis_hansen_block_order,
     pettis_hansen_function_order,
-    pettis_hansen_image,
     pettis_hansen_order,
 )
 from repro.placement.profile_data import CallArc, ControlArc, ProfileData
@@ -71,7 +67,6 @@ __all__ = [
     "TraceSelection",
     "TraceStats",
     "assemble_block_order",
-    "conflict_aware_image",
     "conflict_aware_order",
     "inline_expand",
     "inline_stats",
@@ -82,7 +77,6 @@ __all__ = [
     "natural_order",
     "pettis_hansen_block_order",
     "pettis_hansen_function_order",
-    "pettis_hansen_image",
     "pettis_hansen_order",
     "optimize_program",
     "place",

@@ -31,11 +31,10 @@ from __future__ import annotations
 
 from repro.ir.instructions import INSTRUCTION_BYTES
 from repro.placement.function_layout import FunctionLayout
-from repro.placement.image import MemoryImage
 from repro.placement.profile_data import ProfileData
 from repro.ir.program import Program
 
-__all__ = ["conflict_aware_order", "conflict_aware_image"]
+__all__ = ["conflict_aware_order"]
 
 #: Granularity at which set overlap is evaluated (one typical block).
 _LINE_BYTES = 64
@@ -141,17 +140,3 @@ def conflict_aware_order(
         raise ValueError("conflict-aware order does not cover the program")
     return order
 
-
-def conflict_aware_image(
-    program: Program,
-    profile: ProfileData,
-    layouts: dict[str, FunctionLayout],
-    cache_bytes: int = 2048,
-    **kwargs,
-) -> MemoryImage:
-    """Link the program with the conflict-aware global placement."""
-    return MemoryImage.build(
-        program,
-        conflict_aware_order(program, profile, layouts, cache_bytes),
-        **kwargs,
-    )

@@ -21,14 +21,12 @@ comparison isolates the *layout policy*, not the surrounding substrate.
 from __future__ import annotations
 
 from repro.ir.program import Program
-from repro.placement.image import MemoryImage
 from repro.placement.profile_data import ProfileData
 
 __all__ = [
     "pettis_hansen_function_order",
     "pettis_hansen_block_order",
     "pettis_hansen_order",
-    "pettis_hansen_image",
 ]
 
 
@@ -142,11 +140,3 @@ def pettis_hansen_order(
         order.extend(pettis_hansen_block_order(program, profile, name))
     return order
 
-
-def pettis_hansen_image(
-    program: Program, profile: ProfileData, **kwargs
-) -> MemoryImage:
-    """Link the program with the Pettis-Hansen-style layout."""
-    return MemoryImage.build(
-        program, pettis_hansen_order(program, profile), **kwargs
-    )

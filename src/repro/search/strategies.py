@@ -41,6 +41,12 @@ __all__ = [
 
 STRATEGY_NAMES = ("grid", "random", "halving")
 
+#: Workloads successive halving probes at rung 0 (read at call time).
+PROBE_COUNT = 2
+
+#: Successive halving promotes the best ``ceil(n / ETA)`` candidates.
+ETA = 3
+
 
 class Strategy:
     """Base interface; subclasses override the three hooks."""
@@ -110,8 +116,8 @@ class RandomStrategy(Strategy):
 class SuccessiveHalvingStrategy(Strategy):
     """Random proposals + early pruning on a cheap workload subset.
 
-    Rung 0 evaluates every candidate on the first ``probe_count``
-    workloads only; the best ``ceil(n / eta)`` candidates by mean miss
+    Rung 0 evaluates every candidate on the first :data:`PROBE_COUNT`
+    workloads only; the best ``ceil(n / ETA)`` candidates by mean miss
     ratio are promoted to rung 1, which runs the full workload list.
     Ties break by trial index (lower wins) so promotion is deterministic
     regardless of parallelism.
@@ -119,14 +125,8 @@ class SuccessiveHalvingStrategy(Strategy):
 
     name = "halving"
 
-    def __init__(self, seed: int = 0, probe_count: int = 2, eta: int = 3):
-        if probe_count < 1:
-            raise ValueError("probe_count must be >= 1")
-        if eta < 2:
-            raise ValueError("eta must be >= 2")
+    def __init__(self, seed: int = 0):
         self.seed = int(seed)
-        self.probe_count = int(probe_count)
-        self.eta = int(eta)
         self._random = RandomStrategy(seed)
 
     def propose(self, space: SearchSpace, budget: int) -> list[dict]:
@@ -135,11 +135,11 @@ class SuccessiveHalvingStrategy(Strategy):
     def rung_workloads(self, rung: int, workloads: Sequence[str]) -> list[str]:
         workloads = list(workloads)
         if rung == 0:
-            probe = workloads[: self.probe_count]
+            probe = workloads[:PROBE_COUNT]
             # A probe identical to the full suite would make rung 1 a
             # pure re-run; collapse to single-rung in that case.
             return probe if len(probe) < len(workloads) else workloads
-        if rung == 1 and self.probe_count < len(workloads):
+        if rung == 1 and PROBE_COUNT < len(workloads):
             return workloads
         return []
 
@@ -150,7 +150,7 @@ class SuccessiveHalvingStrategy(Strategy):
             results,
             key=lambda r: (r["objectives"]["miss_ratio"], r["trial"]),
         )
-        keep = max(1, math.ceil(len(scored) / self.eta))
+        keep = max(1, math.ceil(len(scored) / ETA))
         return [r["trial"] for r in scored[:keep]]
 
 

@@ -131,7 +131,6 @@ class ExperimentService:
         journal_dir: str | None = None,
         retries: int = 1,
         job_timeout: float | None = None,
-        watchdog_poll_s: float = 0.25,
         log_dir: str | None = None,
         ledger: str | None = None,
     ) -> None:
@@ -161,7 +160,7 @@ class ExperimentService:
         ]
         self._watchdog = ServiceWatchdog(
             self.queue, self.registry, self._workers,
-            job_timeout=job_timeout, poll_s=watchdog_poll_s,
+            job_timeout=job_timeout,
             spawn_worker=self._make_worker, log=self.log,
         )
         handler = _make_handler(self)

@@ -45,7 +45,7 @@ and :meth:`drained` lets the daemon block until the workers have
 finished every accepted ticket.
 
 Thread-safe throughout; completed tickets are retained (bounded by
-``keep_finished``) so clients can poll results after completion.
+:data:`KEEP_FINISHED`) so clients can poll results after completion.
 """
 
 from __future__ import annotations
@@ -60,6 +60,9 @@ __all__ = ["JobQueue", "QueueClosed", "QueueFull", "Ticket"]
 
 #: Ticket lifecycle states.
 STATES = ("queued", "running", "done", "failed")
+
+#: Finished tickets kept for result polling (read at call time).
+KEEP_FINISHED = 512
 
 
 class QueueFull(RuntimeError):
@@ -141,14 +144,12 @@ class JobQueue:
     def __init__(
         self,
         depth: int = 64,
-        keep_finished: int = 512,
         journal=None,
         retries: int = 0,
     ) -> None:
         if depth < 1:
             raise ValueError("queue depth must be >= 1")
         self.depth = depth
-        self.keep_finished = keep_finished
         self.journal = journal
         self.retries = retries
         self._lock = threading.Lock()
@@ -245,8 +246,7 @@ class JobQueue:
             ticket_id for ticket_id, ticket in self._tickets.items()
             if ticket.state in ("done", "failed")
         ]
-        for ticket_id in finished[: max(0, len(finished)
-                                        - self.keep_finished)]:
+        for ticket_id in finished[: max(0, len(finished) - KEEP_FINISHED)]:
             ticket = self._tickets.pop(ticket_id)
             for key in ticket.submission_keys():
                 if self._by_submission.get(key) == ticket_id:

@@ -130,7 +130,12 @@ def _normalize_explain(doc: dict) -> dict:
     from repro.cache.base import cache_sets
     from repro.workloads.registry import workload_names
 
-    workload = _require_choice(doc, "workload", workload_names(), None)
+    workload = doc.get("workload")
+    if workload not in workload_names():
+        raise RequestError(
+            f"unknown workload {workload!r}; "
+            f"known: {', '.join(workload_names())}"
+        )
     scale = _require_choice(doc, "scale", _SCALES, "small")
     layout = _require_choice(doc, "layout", _EXPLAIN_LAYOUTS, "optimized")
     baseline = _require_choice(doc, "baseline", _EXPLAIN_LAYOUTS, "natural")

@@ -20,8 +20,9 @@ threads never interleave spans or miss attributions.
 
 The receipt attached to every result is the provenance trail: the
 normalized request and its fingerprint, the engine code version, the
-artifact-store keys the request maps to, store hit/miss counts, and the
-run's telemetry counters.
+artifact-store entries the run read or created (the keys of its
+telemetry records), store hit/miss counts, and the run's telemetry
+counters.
 
 Failure handling is attempt-fenced and retried: an attempt that raises
 goes back through :meth:`JobQueue.requeue` — re-queued up to the
@@ -49,29 +50,8 @@ from repro.service.queue import JobQueue, Ticket
 
 __all__ = ["ServiceWatchdog", "ServiceWorker", "execute_request"]
 
-
-def _store_keys(request: dict) -> list[str]:
-    """The artifact-store keys a normalized request reads or creates."""
-    from repro.engine.jobs import workloads_for_table
-    from repro.engine.store import artifact_key
-    from repro.opt import OptOptions
-
-    opt = OptOptions.parse(request.get("opt"))
-    options = [opt]
-    if request["kind"] == "table":
-        names = workloads_for_table(request["table"])
-    elif request["kind"] == "explain":
-        names = [request["workload"]]
-        if opt.passes:
-            # ``--opt`` diffs against the same program without passes.
-            options.insert(0, OptOptions())
-    else:
-        # tune: keys vary only with a candidate's middle-end passes; the
-        # no-pass keys are the ones every other candidate shares.
-        names = request.get("workloads", ())
-    scale = request.get("scale", "default")
-    return [artifact_key(name, scale, each)
-            for name in names for each in options]
+#: Seconds between watchdog sweeps (read at call time).
+WATCHDOG_POLL_S = 0.25
 
 
 def execute_request(
@@ -273,7 +253,10 @@ class ServiceWorker(threading.Thread):
             "fingerprint": ticket.fingerprint,
             "code_version": self._code_version(),
             "store": {
-                "keys": _store_keys(ticket.request),
+                "keys": list(dict.fromkeys(
+                    record.key for record in telemetry.records
+                    if record.key is not None
+                )),
                 "hits": totals.get("store_hits", 0),
                 "misses": totals.get("store_misses", 0),
             },
@@ -361,7 +344,6 @@ class ServiceWatchdog(threading.Thread):
         registry,
         workers: list,
         job_timeout: float | None = None,
-        poll_s: float = 0.25,
         spawn_worker=None,
         name: str = "repro-watchdog",
         log=NULL_LOG,
@@ -371,7 +353,6 @@ class ServiceWatchdog(threading.Thread):
         self.registry = registry
         self.workers = workers
         self.job_timeout = job_timeout
-        self.poll_s = poll_s
         self.spawn_worker = spawn_worker
         self.log = log
         self._halt = threading.Event()
@@ -380,7 +361,7 @@ class ServiceWatchdog(threading.Thread):
         self._halt.set()
 
     def run(self) -> None:
-        while not self._halt.wait(self.poll_s):
+        while not self._halt.wait(WATCHDOG_POLL_S):
             stats = self.queue.stats()
             if stats["closed"] and not stats["accepted"]:
                 return

@@ -55,6 +55,26 @@ class TestExplain:
         assert "[middle-end: " in outputs[0]
         assert outputs[0] == outputs[1]
 
+    def test_opt_explain_telemetry_counts_both_builds(self, tmp_path):
+        """Both executions of a cold ``--opt`` explain reach telemetry."""
+        from repro import obs
+        from repro.engine.telemetry import Telemetry
+        from repro.service.schemas import normalize_request
+        from repro.service.worker import execute_request
+
+        telemetry = Telemetry()
+        recorder = obs.Recorder()
+        with obs.use(recorder):
+            execute_request(
+                normalize_request({"kind": "explain", "workload": "cmp",
+                                   "scale": "small", "opt": "dce"}),
+                cache_dir=str(tmp_path), telemetry=telemetry,
+            )
+        totals = telemetry.totals()
+        executed = recorder.metrics.counter_values()["interp_instructions"]
+        assert totals["interp_instructions"] == executed
+        assert totals["store_misses"] == 2
+
     def test_unknown_workload_is_a_clean_exit(self, capsys):
         assert main(["explain", "nope"]) == 2
         assert "unknown workload" in capsys.readouterr().err
@@ -64,7 +84,12 @@ class TestExplain:
         ["--assoc", "64"],          # 2 KB / 64 B holds 32 blocks
         ["--cache-bytes", "3000"],
         ["--cache-bytes", "64", "--block-bytes", "4096"],
-    ], ids=["assoc-3", "assoc-64", "cache-3000", "block-over-cache"])
+        # Bounds the daemon enforces too (the same normalize_request).
+        ["--top", "0"],
+        ["--cache-bytes", "33554432"],
+        ["--block-bytes", "8192", "--cache-bytes", "16384"],
+    ], ids=["assoc-3", "assoc-64", "cache-3000", "block-over-cache",
+            "top-0", "cache-32m", "block-8k"])
     def test_bad_geometry_is_a_clean_exit(self, capsys, tmp_path, flags):
         # Rejected before any artifact is built: the store stays empty.
         store = tmp_path / "store"

@@ -471,8 +471,7 @@ class TestEventLog:
     def test_levels_envelope_and_filtering(self, tmp_path):
         from repro.obs.logs import EventLog
 
-        log = EventLog(str(tmp_path), min_level="info")
-        log.debug("too_quiet", trace="aa" * 8)
+        log = EventLog(str(tmp_path))
         log.info("accept", trace="aa" * 8, job="job-1", kind="table")
         log.error("attempt_failed", job="job-1", cause="boom")
         log.close()
@@ -486,12 +485,16 @@ class TestEventLog:
         assert first["trace"] == "aa" * 8 and first["job"] == "job-1"
         assert lines[1]["level"] == "error"
 
-    def test_size_rotation_keeps_bounded_generations(self, tmp_path):
+    def test_size_rotation_keeps_bounded_generations(self, tmp_path,
+                                                     monkeypatch):
         import os
 
+        from repro.obs import logs
         from repro.obs.logs import EventLog
 
-        log = EventLog(str(tmp_path), max_bytes=512, keep=2)
+        monkeypatch.setattr(logs, "MAX_BYTES", 512)
+        monkeypatch.setattr(logs, "KEEP", 2)
+        log = EventLog(str(tmp_path))
         for index in range(200):
             log.info("tick", job=f"job-{index:04d}", payload="x" * 40)
         log.close()
@@ -499,7 +502,7 @@ class TestEventLog:
             name for name in os.listdir(tmp_path)
             if name.startswith("events.jsonl")
         )
-        # Active file plus at most `keep` rotated generations.
+        # Active file plus at most `KEEP` rotated generations.
         assert produced == ["events.jsonl", "events.jsonl.1",
                             "events.jsonl.2"]
         assert os.path.getsize(log.path) <= 512 + 200

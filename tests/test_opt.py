@@ -27,7 +27,6 @@ from repro.interp.interpreter import run_program
 from repro.interp.profiler import profile_program
 from repro.ir.builder import ProgramBuilder
 from repro.ir.instructions import Opcode
-from repro.ir.serialize import program_from_dict, program_to_dict
 from repro.ir.validate import ValidationError, validate_optimized
 from repro.opt import ALL_PASSES, OptOptions, PASS_NAMES, run_opt
 from repro.placement.pipeline import PlacementOptions
@@ -385,12 +384,6 @@ class TestInvariants:
         program = pb.build()
         with pytest.raises(ValidationError, match="orphan"):
             validate_optimized(program)
-
-    def test_optimized_programs_serialize_round_trip(self):
-        program = build_branchy_program()
-        optimized, _, _ = run_passes(program, "lvn,simplify,dce")
-        payload = program_to_dict(optimized)
-        assert program_to_dict(program_from_dict(payload)) == payload
 
 
 class TestWorkloadMatrix:

@@ -7,10 +7,10 @@ from repro.cache.vectorized import simulate_direct_vectorized
 from repro.interp.profiler import profile_program
 from repro.placement.conflict_aware import (
     _footprint,
-    conflict_aware_image,
     conflict_aware_order,
 )
 from repro.placement.function_layout import layout_function
+from repro.placement.image import MemoryImage
 from repro.placement.trace_selection import select_traces
 
 
@@ -75,8 +75,9 @@ class TestOrder:
         from repro.interp.trace import BlockTrace
 
         layouts = _layouts(call_program, call_profile)
-        image = conflict_aware_image(
-            call_program, call_profile, layouts
+        image = MemoryImage.build(
+            call_program,
+            conflict_aware_order(call_program, call_profile, layouts),
         )
         trace = BlockTrace.from_execution(run_program(call_program, [1, 2]))
         addresses = trace.addresses(image)

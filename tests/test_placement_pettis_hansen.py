@@ -1,10 +1,10 @@
 """Unit tests for the Pettis-Hansen-style layout."""
 
 from repro.interp.profiler import profile_program
+from repro.placement.image import MemoryImage
 from repro.placement.pettis_hansen import (
     pettis_hansen_block_order,
     pettis_hansen_function_order,
-    pettis_hansen_image,
     pettis_hansen_order,
 )
 from tests.conftest import build_call_program
@@ -92,7 +92,9 @@ class TestWholeProgram:
         from repro.interp.interpreter import run_program
         from repro.interp.trace import BlockTrace
 
-        image = pettis_hansen_image(call_program, call_profile)
+        image = MemoryImage.build(
+            call_program, pettis_hansen_order(call_program, call_profile)
+        )
         trace = BlockTrace.from_execution(run_program(call_program, [1, 2]))
         addresses = trace.addresses(image)
         assert len(addresses) == trace.instruction_count(image)
@@ -142,7 +144,9 @@ class TestWholeProgram:
         )
         # Cache big enough for main+hot_a+hot_b, not for the cold pads.
         ph = simulate_direct_vectorized(
-            trace.addresses(pettis_hansen_image(program, profile)), 128, 32
+            trace.addresses(MemoryImage.build(
+                program, pettis_hansen_order(program, profile)
+            )), 128, 32
         )
         nat = simulate_direct_vectorized(
             trace.addresses(natural_image(program)), 128, 32

@@ -1,5 +1,5 @@
-"""Property-based tests for the extension modules (serialisation,
-Pettis-Hansen layout, analytical estimator, paging)."""
+"""Property-based tests for the extension modules (Pettis-Hansen
+layout, analytical estimator, paging)."""
 
 from __future__ import annotations
 
@@ -10,35 +10,12 @@ from repro.cache.paging import simulate_paging, simulate_sectored_paging
 from repro.interp.interpreter import run_program
 from repro.interp.profiler import profile_program
 from repro.interp.trace import BlockTrace
-from repro.ir.serialize import program_from_dict, program_to_dict
 from repro.placement.estimate import estimate_direct_mapped
 from repro.placement.image import MemoryImage
-from repro.placement.pettis_hansen import (
-    pettis_hansen_image,
-    pettis_hansen_order,
-)
+from repro.placement.pettis_hansen import pettis_hansen_order
 from tests.test_properties import addresses_strategy, dag_programs
 
 inputs_strategy = st.lists(st.integers(-4, 4), max_size=6)
-
-
-class TestSerializationProperties:
-    @given(dag_programs(), inputs_strategy)
-    @settings(max_examples=40, deadline=None)
-    def test_roundtrip_preserves_execution(self, program, inputs):
-        restored = program_from_dict(program_to_dict(program))
-        original = run_program(program, inputs, max_instructions=20_000)
-        replayed = run_program(restored, inputs, max_instructions=20_000)
-        assert replayed.output == original.output
-        assert list(replayed.block_ids) == list(original.block_ids)
-        assert list(replayed.via) == list(original.via)
-
-    @given(dag_programs())
-    @settings(max_examples=40, deadline=None)
-    def test_roundtrip_is_idempotent(self, program):
-        once = program_to_dict(program)
-        twice = program_to_dict(program_from_dict(once))
-        assert once == twice
 
 
 class TestPettisHansenProperties:
@@ -65,7 +42,9 @@ class TestPettisHansenProperties:
     @settings(max_examples=30, deadline=None)
     def test_image_replays_any_execution(self, program, inputs):
         profile = profile_program(program, [[1]])
-        image = pettis_hansen_image(program, profile)
+        image = MemoryImage.build(
+            program, pettis_hansen_order(program, profile)
+        )
         trace = BlockTrace.from_execution(
             run_program(program, inputs, max_instructions=20_000)
         )

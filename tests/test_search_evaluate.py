@@ -10,6 +10,7 @@ from repro.engine.telemetry import Telemetry
 from repro.experiments import table6, table7
 from repro.experiments.runner import ExperimentRunner
 from repro.placement.pipeline import PlacementOptions
+from repro.search import strategies
 from repro.search.evaluate import run_search, trial_job_id, tune_plan
 from repro.search.space import default_space
 from repro.search.strategies import (
@@ -213,10 +214,12 @@ class TestRunSearch:
         assert totals["store_hits"] > 0
         assert warm.front
 
-    def test_halving_prunes_and_fronts_only_complete_trials(self):
+    def test_halving_prunes_and_fronts_only_complete_trials(self,
+                                                            monkeypatch):
+        monkeypatch.setattr(strategies, "PROBE_COUNT", 1)
         result = run_search(
             default_space(),
-            SuccessiveHalvingStrategy(seed=2, probe_count=1, eta=3),
+            SuccessiveHalvingStrategy(seed=2),
             workloads=["cmp", "wc", "tee"],
             budget=4,
             scale="small",
@@ -234,12 +237,13 @@ class TestRunSearch:
             else:
                 assert set(record["workloads"]) == {"cmp"}
 
-    def test_observability_spans_and_metrics(self):
+    def test_observability_spans_and_metrics(self, monkeypatch):
+        monkeypatch.setattr(strategies, "PROBE_COUNT", 1)
         recorder = obs.Recorder()
         with obs.use(recorder):
             run_search(
                 default_space(),
-                SuccessiveHalvingStrategy(seed=2, probe_count=1, eta=3),
+                SuccessiveHalvingStrategy(seed=2),
                 workloads=["cmp", "wc", "tee"],
                 budget=4,
                 scale="small",

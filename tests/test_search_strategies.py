@@ -62,19 +62,19 @@ class TestRandom:
 
 class TestSuccessiveHalving:
     def test_probe_then_full(self):
-        strategy = SuccessiveHalvingStrategy(seed=0, probe_count=2)
+        strategy = SuccessiveHalvingStrategy(seed=0)
         workloads = ["a", "b", "c", "d"]
         assert strategy.rung_workloads(0, workloads) == ["a", "b"]
         assert strategy.rung_workloads(1, workloads) == workloads
         assert strategy.rung_workloads(2, workloads) == []
 
     def test_probe_covering_everything_collapses_to_one_rung(self):
-        strategy = SuccessiveHalvingStrategy(seed=0, probe_count=2)
+        strategy = SuccessiveHalvingStrategy(seed=0)
         assert strategy.rung_workloads(0, ["a", "b"]) == ["a", "b"]
         assert strategy.rung_workloads(1, ["a", "b"]) == []
 
     def test_promotes_best_third_with_index_tiebreak(self):
-        strategy = SuccessiveHalvingStrategy(seed=0, eta=3)
+        strategy = SuccessiveHalvingStrategy(seed=0)
         results = [
             _record(0, 0.30), _record(1, 0.10), _record(2, 0.10),
             _record(3, 0.20), _record(4, 0.40), _record(5, 0.50),
@@ -89,12 +89,6 @@ class TestSuccessiveHalving:
     def test_no_promotion_past_rung_zero(self):
         strategy = SuccessiveHalvingStrategy(seed=0)
         assert strategy.promote(1, [_record(0, 0.5)]) == []
-
-    def test_validates_parameters(self):
-        with pytest.raises(ValueError):
-            SuccessiveHalvingStrategy(probe_count=0)
-        with pytest.raises(ValueError):
-            SuccessiveHalvingStrategy(eta=1)
 
 
 class TestFactory:

@@ -188,7 +188,12 @@ class TestServiceWorker:
         queue = JobQueue(depth=4)
         registry = MetricsRegistry()
 
-        def executor(request, **_kwargs):
+        def executor(request, telemetry, **_kwargs):
+            # The receipt lists the keys of the run's records, in order
+            # and de-duplicated; a record without a store has none.
+            for key in ("k2", "k1", "k2", None):
+                telemetry.record(job_id="artifacts", kind="artifacts",
+                                 wall_s=0.0, key=key)
             return {"output": "rendered", "detail": {"extra": 1}}
 
         worker = _run_worker(queue, registry, executor)
@@ -204,7 +209,7 @@ class TestServiceWorker:
         receipt = ticket.result["receipt"]
         assert receipt["fingerprint"] == ticket.fingerprint
         assert receipt["kind"] == "table"
-        assert len(receipt["store"]["keys"]) == 10  # table6 workloads
+        assert receipt["store"]["keys"] == ["k2", "k1"]
         assert registry.counter_values()["service.requests"] == 1
         assert registry.counter_values()["service.completed"] == 1
 
@@ -238,19 +243,32 @@ def test_execute_request_tune_small(tmp_path):
     assert body["detail"]["trials"] == 2
 
 
-@pytest.mark.parametrize("opt", ["none", "dce"])
-def test_receipt_store_keys_are_the_entries_created(tmp_path, opt):
-    """The keys a receipt lists are exactly the entries the request made."""
+@pytest.mark.parametrize("request_doc,created", [
+    ({"kind": "explain", "workload": "cmp", "scale": "small"}, 1),
+    ({"kind": "explain", "workload": "cmp", "scale": "small",
+      "opt": "dce"}, 2),
+    ({"kind": "tune", "strategy": "grid", "budget": 3,
+      "workloads": ["cmp"], "axes": ["opt"], "scale": "small"}, 3),
+], ids=["none", "dce", "tune"])
+def test_receipt_keys_are_the_entries_created(tmp_path, request_doc,
+                                              created):
+    """A served receipt lists exactly the store entries its run made."""
     from repro.engine.store import ArtifactStore
-    from repro.service.worker import _store_keys
 
-    request = normalize_request({
-        "kind": "explain", "workload": "cmp", "scale": "small", "opt": opt,
-    })
-    execute_request(request, cache_dir=str(tmp_path))
+    queue = JobQueue(depth=4)
+    worker = ServiceWorker(queue, MetricsRegistry(), cache_dir=str(tmp_path))
+    worker.start()
+    request = normalize_request(request_doc)
+    ticket, _ = queue.submit(request, request_fingerprint(request))
+    queue.close()
+    assert queue.drained(timeout=120.0)
+    worker.join(timeout=5.0)
+
+    assert ticket.state == "done"
+    keys = ticket.result["receipt"]["store"]["keys"]
     entries = ArtifactStore(str(tmp_path)).entries()
-    assert sorted(_store_keys(request)) == sorted(e.key for e in entries)
-    assert len(entries) == (1 if opt == "none" else 2)
+    assert len(set(keys)) == len(keys) == created
+    assert sorted(keys) == sorted(e.key for e in entries)
 
 
 # -- HTTP surface ----------------------------------------------------------

@@ -27,6 +27,7 @@ from repro.service import (
     ServiceWatchdog,
     Ticket,
 )
+from repro.service import worker as worker_module
 from repro.service.client import RetryPolicy
 from repro.service.journal import JobJournal
 from repro.service.schemas import normalize_request, request_fingerprint
@@ -170,7 +171,8 @@ class TestRestartRecovery:
 
 
 class TestWatchdog:
-    def test_hung_attempt_reaped_and_retried(self, tmp_path):
+    def test_hung_attempt_reaped_and_retried(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(worker_module, "WATCHDOG_POLL_S", 0.05)
         first_hang = threading.Event()
         calls = []
 
@@ -183,7 +185,6 @@ class TestWatchdog:
         service = ExperimentService(
             port=0, cache_dir=str(tmp_path / "c"), workers=2,
             executor=executor, retries=1, job_timeout=0.3,
-            watchdog_poll_s=0.05,
         )
         service.start()
         try:
@@ -246,7 +247,8 @@ class TestWatchdog:
     @pytest.mark.filterwarnings(
         "ignore::pytest.PytestUnhandledThreadExceptionWarning"
     )
-    def test_dead_worker_thread_respawned(self, tmp_path):
+    def test_dead_worker_thread_respawned(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(worker_module, "WATCHDOG_POLL_S", 0.05)
         calls = []
 
         def executor(request, **_kwargs):
@@ -258,7 +260,6 @@ class TestWatchdog:
         service = ExperimentService(
             port=0, cache_dir=str(tmp_path / "c"), workers=1,
             executor=executor, retries=1, job_timeout=0.3,
-            watchdog_poll_s=0.05,
         )
         service.start()
         try:
@@ -271,10 +272,10 @@ class TestWatchdog:
         finally:
             service.shutdown(timeout=10.0)
 
-    def test_watchdog_exits_when_queue_drains(self):
+    def test_watchdog_exits_when_queue_drains(self, monkeypatch):
+        monkeypatch.setattr(worker_module, "WATCHDOG_POLL_S", 0.02)
         queue = JobQueue(depth=4)
-        watchdog = ServiceWatchdog(queue, MetricsRegistry(), [],
-                                   poll_s=0.02)
+        watchdog = ServiceWatchdog(queue, MetricsRegistry(), [])
         watchdog.start()
         queue.close()
         watchdog.join(timeout=5.0)

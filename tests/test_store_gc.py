@@ -97,6 +97,41 @@ class TestGC:
         assert report["bytes_after"] == 0
         assert store.entries() == []
 
+    @pytest.mark.parametrize("bad", ["created", "not-an-object"])
+    def test_unusable_manifest_does_not_break_the_scan(self, tmp_path,
+                                                       capsys, bad):
+        import json
+
+        from repro.cli import main
+
+        store = ArtifactStore(tmp_path)
+        for tag in range(2):
+            store.put(_key(tag), _payload(tag))
+        meta_path = os.path.join(store.objects_dir, _key(0), "meta.json")
+        with open(meta_path) as handle:
+            meta = json.load(handle)
+        if bad == "created":
+            # The checksums still verify: only the timestamp is unusable.
+            meta["created"] = "x"
+        else:
+            meta = [meta]
+        with open(meta_path, "w") as handle:
+            json.dump(meta, handle)
+
+        listed = {entry.key: entry for entry in store.entries()}
+        if bad == "created":
+            assert store.get(_key(0)) is not None
+            assert listed[_key(0)].created == 0.0
+        else:
+            assert _key(0) not in listed
+        assert _key(1) in listed
+        assert store.stats()["entries"] == len(listed)
+        assert main(["cache", "ls", "--cache-dir", str(tmp_path)]) == 0
+        assert (_key(0) in capsys.readouterr().out) == (bad == "created")
+        # A listed entry stays evictable; a skipped one is left alone.
+        assert store.gc(0)["evicted"] == len(listed)
+        assert [entry.key for entry in store.entries()] == []
+
     def test_cli_gc_requires_max_bytes(self, tmp_path, capsys):
         from repro.cli import main
 
