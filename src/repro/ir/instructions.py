@@ -168,12 +168,19 @@ class Instruction:
         return " ".join(parts)
 
 
+#: Index of each canonical register name, ``"r0"``..``"r31"``.
+_REGISTER_INDEX = {f"r{index}": index for index in range(NUM_REGISTERS)}
+
+
 def parse_register(name: int | str) -> int:
     """Translate a register name like ``"r7"`` (or a bare int) to its index.
 
     Raises ``ValueError`` for anything outside ``r0``..``r31``.
     """
     if isinstance(name, str):
+        index = _REGISTER_INDEX.get(name)
+        if index is not None:
+            return index
         if not name.startswith("r"):
             raise ValueError(f"bad register name: {name!r}")
         try:

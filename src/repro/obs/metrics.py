@@ -24,7 +24,7 @@ SUBBUCKETS = 16
 
 
 class Counter:
-    """A monotonically increasing integer metric."""
+    """A monotonically increasing metric: a count, or seconds summed."""
 
     __slots__ = ("name", "value")
 
@@ -32,7 +32,7 @@ class Counter:
         self.name = name
         self.value = 0
 
-    def inc(self, amount: int = 1) -> None:
+    def inc(self, amount: float = 1) -> None:
         self.value += amount
 
 

@@ -427,6 +427,46 @@ class TestInstrumentation:
         }
         assert rec.metrics.histogram("trace_length_blocks").count == 792
 
+    def test_interpreter_regions_add_no_trace_selection_counts(
+        self, monkeypatch
+    ):
+        # Region formation runs the paper's selector too, but under the
+        # null recorder: a build that runs regions reports the same
+        # Step 3 counters as one that runs blocks only.
+        from repro.experiments.runner import ExperimentRunner
+        from repro.interp import regions as interp_regions
+
+        formed = []
+
+        class Spy(interp_regions.Regions):
+            def __init__(self, program, counts):
+                super().__init__(program, counts)
+                formed.append(self)
+
+        def selection_counters(regions):
+            monkeypatch.setattr(interp_regions, "Regions", regions)
+            rec = Recorder()
+            with obs.use(rec):
+                ExperimentRunner(scale="small", store=None).artifacts("wc")
+            return {
+                name: value
+                for name, value in rec.metrics.counter_values().items()
+                if name == "traces_selected" or name.startswith("trace_")
+            }, rec.metrics.histogram("trace_length_blocks").count
+
+        with_regions = selection_counters(Spy)
+        assert formed and any(regions.codes for regions in formed)
+
+        class BlocksOnly:
+            def __init__(self, program, counts):
+                pass
+
+            def code(self, program, bid):
+                return None
+
+        assert selection_counters(BlocksOnly) == with_regions
+        assert with_regions[0]["traces_selected"] > 0
+
     def test_pipeline_spans_cover_phases(self):
         from repro.experiments.runner import ExperimentRunner
 
