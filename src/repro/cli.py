@@ -864,10 +864,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     from repro.experiments.report import render_table
 
     store = ArtifactStore(args.cache_dir)
-    if args.cache_command in ("ls", "stats"):
-        # Derived state self-heals: a missing or unparsable index.json is
-        # rebuilt from objects/ before anything reads it.
-        store.load_index()
     if args.cache_command == "ls":
         rows = [
             [

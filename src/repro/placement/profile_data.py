@@ -17,18 +17,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from collections.abc import Iterator
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.ir.function import Function
-from repro.ir.instructions import Opcode
 from repro.ir.program import Program
 
 __all__ = ["ProfileData", "ControlArc", "CallArc"]
 
 
-@dataclass(frozen=True)
-class ControlArc:
+class ControlArc(NamedTuple):
     """One weighted intra-function control-graph arc."""
 
     src: int          # source bid
@@ -105,32 +104,28 @@ class ProfileData:
     # -- arc weights -----------------------------------------------------
 
     def control_arcs(self, function: Function) -> Iterator[ControlArc]:
-        """Weighted intra-function arcs of ``function``'s control graph."""
+        """Weighted intra-function arcs of ``function``'s control graph.
+
+        A valid program gives a JMP only a taken successor, a conditional
+        branch both, a CALL only its continuation and a RET or HALT none,
+        so the program's successor tables tell the kinds apart.
+        """
         program = self.program
-        for block in function.blocks:
-            bid = block.bid
-            assert bid is not None
-            kind = block.kind
-            if kind is Opcode.JMP:
-                yield ControlArc(
-                    bid, program.block_taken[bid], "taken",
-                    int(self.block_weights[bid]),
-                )
-            elif block.terminator.is_branch:
-                yield ControlArc(
-                    bid, program.block_taken[bid], "taken",
-                    int(self.taken_weights[bid]),
-                )
-                yield ControlArc(
-                    bid, program.block_fall[bid], "fall",
-                    int(self.fall_weights[bid]),
-                )
-            elif kind is Opcode.CALL:
-                yield ControlArc(
-                    bid, program.block_fall[bid], "call_fall",
-                    int(self.block_weights[bid]),
-                )
-            # RET/HALT blocks have no intra-function successor.
+        bids = [block.bid for block in function.blocks]
+        # One conversion per weight array, not one per arc.
+        for bid, weight, taken, fall in zip(
+            bids, self.block_weights[bids].tolist(),
+            self.taken_weights[bids].tolist(),
+            self.fall_weights[bids].tolist(),
+        ):
+            dst, cont = program.block_taken[bid], program.block_fall[bid]
+            if program.block_callee_entry[bid] >= 0:
+                yield ControlArc(bid, cont, "call_fall", weight)
+            elif cont >= 0:
+                yield ControlArc(bid, dst, "taken", taken)
+                yield ControlArc(bid, cont, "fall", fall)
+            elif dst >= 0:
+                yield ControlArc(bid, dst, "taken", weight)
 
     def call_arcs(self) -> Iterator[CallArc]:
         """Weighted call-graph arcs (one per static call site)."""

@@ -18,15 +18,18 @@ of the appendix pseudo-code:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from repro import obs
 from repro.ir.function import Function
-from repro.placement.profile_data import ControlArc, ProfileData
+from repro.placement.profile_data import ProfileData
 
 __all__ = ["MIN_PROB", "Trace", "TraceSelection", "select_traces"]
 
 #: The appendix's arc-probability threshold.
 MIN_PROB = 0.7
+
+_weight = itemgetter(0)
 
 
 @dataclass(frozen=True)
@@ -74,7 +77,6 @@ def select_traces(
     min_prob: float = MIN_PROB,
 ) -> TraceSelection:
     """Run the appendix ``TraceSelection`` algorithm on one function."""
-    weights = profile.block_weights
     entry_bid = function.entry.bid
     assert entry_bid is not None
     bids = [block.bid for block in function.blocks]
@@ -91,58 +93,41 @@ def select_traces(
             trace_of={bid: i for i, bid in enumerate(bids)},
         )
 
-    outgoing: dict[int, list[ControlArc]] = {bid: [] for bid in bids}
-    incoming: dict[int, list[ControlArc]] = {bid: [] for bid in bids}
-    for arc in profile.control_arcs(function):
-        outgoing[arc.src].append(arc)
-        incoming[arc.dst].append(arc)
+    weights = dict(zip(bids, profile.block_weights[bids].tolist()))
+    # ``(weight, far end)`` of each arc out of (into) a block.
+    outgoing: dict[int, list[tuple[int, int]]] = {bid: [] for bid in bids}
+    incoming: dict[int, list[tuple[int, int]]] = {bid: [] for bid in bids}
+    for src, dst, _kind, weight in profile.control_arcs(function):
+        outgoing[src].append((weight, dst))
+        incoming[dst].append((weight, src))
 
     selected: set[int] = set()
     # Why trace growth stopped, tallied for the observability layer:
     # zero-weight best arcs, arcs below MIN_PROB, far ends already taken.
     cutoffs = {"zero_weight": 0, "min_prob": 0, "already_selected": 0}
 
-    def best_successor(bb: int) -> ControlArc | None:
-        arcs = outgoing[bb]
+    def best(arcs: list[tuple[int, int]], bb: int) -> int | None:
+        """The far end of ``bb``'s best arc in ``arcs`` (the appendix's
+        ``best_successor`` on outgoing arcs, ``best_predecessor`` on
+        incoming ones), or ``None``."""
         if not arcs:
             return None
-        ln = max(arcs, key=lambda a: a.weight)
-        if ln.weight == 0:
+        weight, far = max(arcs, key=_weight)
+        if weight == 0:
             cutoffs["zero_weight"] += 1
             return None
-        if ln.weight / max(int(weights[bb]), 1) < min_prob:
+        if (weight / max(weights[bb], 1) < min_prob
+                or weight / max(weights[far], 1) < min_prob):
             cutoffs["min_prob"] += 1
             return None
-        if ln.weight / max(int(weights[ln.dst]), 1) < min_prob:
-            cutoffs["min_prob"] += 1
-            return None
-        if ln.dst in selected:
+        if far in selected:
             cutoffs["already_selected"] += 1
             return None
-        return ln
-
-    def best_predecessor(bb: int) -> ControlArc | None:
-        arcs = incoming[bb]
-        if not arcs:
-            return None
-        ln = max(arcs, key=lambda a: a.weight)
-        if ln.weight == 0:
-            cutoffs["zero_weight"] += 1
-            return None
-        if ln.weight / max(int(weights[bb]), 1) < min_prob:
-            cutoffs["min_prob"] += 1
-            return None
-        if ln.weight / max(int(weights[ln.src]), 1) < min_prob:
-            cutoffs["min_prob"] += 1
-            return None
-        if ln.src in selected:
-            cutoffs["already_selected"] += 1
-            return None
-        return ln
+        return far
 
     # Seeds in decreasing weight (ties broken by declaration order, for
     # determinism).
-    seed_order = sorted(bids, key=lambda b: (-int(weights[b]), b))
+    seed_order = sorted(bids, key=lambda b: (-weights[b], b))
     traces: list[Trace] = []
     trace_of: dict[int, int] = {}
 
@@ -156,29 +141,27 @@ def select_traces(
         # Grow the trace forward.
         current = seed
         while True:
-            ln = best_successor(current)
-            if ln is None or ln.dst == entry_bid:
+            successor = best(outgoing[current], current)
+            if successor is None or successor == entry_bid:
                 break
-            selected.add(ln.dst)
-            chain.append(ln.dst)
-            current = ln.dst
+            selected.add(successor)
+            chain.append(successor)
+            current = successor
 
         # Grow the trace backward.
         current = seed
-        while True:
-            if current == entry_bid:
+        while current != entry_bid:
+            predecessor = best(incoming[current], current)
+            if predecessor is None:
                 break
-            ln = best_predecessor(current)
-            if ln is None:
-                break
-            selected.add(ln.src)
-            chain.insert(0, ln.src)
-            current = ln.src
+            selected.add(predecessor)
+            chain.insert(0, predecessor)
+            current = predecessor
 
         trace = Trace(
             tid=tid,
             blocks=tuple(chain),
-            weight=int(sum(int(weights[b]) for b in chain)),
+            weight=sum(weights[b] for b in chain),
         )
         traces.append(trace)
         for bid in chain:

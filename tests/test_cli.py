@@ -272,21 +272,32 @@ class TestCacheCommands:
         # The store self-healed: a re-verify is clean again.
         assert main(["cache", "verify", "--cache-dir", cache]) == 0
 
-    def test_ls_rebuilds_damaged_index(self, capsys, tmp_path):
-        import json
+    def test_ls_and_stats_scan_objects_past_a_damaged_total(
+        self, capsys, tmp_path
+    ):
         import os
+
+        from repro.engine.store import ArtifactStore
 
         cache = str(tmp_path / "cache")
         assert main([
             "table4", "--scale", "small", "--cache-dir", cache,
         ]) == 0
-        capsys.readouterr()
-        index_path = os.path.join(cache, "index.json")
-        with open(index_path, "w") as handle:
+        store = ArtifactStore(cache)
+        scanned = sum(entry.nbytes for entry in store.entries())
+        assert store._read_total() == scanned
+        assert not os.path.exists(os.path.join(cache, "index.json"))
+        with open(os.path.join(cache, "bytes"), "w") as handle:
             handle.write("garbage {")
+        capsys.readouterr()
         assert main(["cache", "ls", "--cache-dir", cache]) == 0
-        assert "wc" in capsys.readouterr().out
-        assert len(json.load(open(index_path))["entries"]) == 10
+        assert capsys.readouterr().out.count(" small ") == 10
+        assert main(["cache", "stats", "--cache-dir", cache]) == 0
+        assert f"bytes:              {scanned}\n" in capsys.readouterr().out
+        assert main([
+            "cache", "gc", "--max-bytes", str(scanned), "--cache-dir", cache,
+        ]) == 0
+        assert store._read_total() == scanned
 
 
 class TestPartialFailure:

@@ -65,6 +65,7 @@ class TestGC:
         kept = {entry.key for entry in store.entries()}
         assert kept == {_key(2), _key(3)}
         assert report["bytes_after"] <= budget
+        assert store._read_total() == report["bytes_after"]
 
     def test_quarantine_counts_and_goes_first(self, tmp_path):
         store = ArtifactStore(tmp_path)
@@ -393,7 +394,6 @@ def _hammer(cache_dir: str, seed: int, out_queue) -> None:
                 return
             digests[key] = payload.arrays["trace_block_ids"].tobytes()
         # Exercise the mutating paths under contention too.
-        store.load_index()
         if seed % 2 == 0:
             store.verify()
     out_queue.put(("ok", digests))
@@ -421,8 +421,9 @@ def test_two_processes_shared_cache_dir_no_corruption(tmp_path):
     for key in first:
         assert first[key] == second[key]
 
-    # And the surviving store verifies clean.
+    # And the surviving store verifies clean, its byte total exact.
     store = ArtifactStore(tmp_path)
     report = store.verify()
     assert report["corrupt"] == []
     assert report["checked"] == 4
+    assert store._read_total() == store.stats()["bytes"]
