@@ -28,6 +28,14 @@ artifacts.  A memo entry is used only after the store has verified the
 entry's bytes (on a memo hit the store skips decoding them), so store
 hit/miss accounting, quarantine and ``repro cache clear`` see every
 lookup exactly as without it.
+
+Programs are built once per process too: every build and hydration of a
+workload takes its program from a memo keyed by the workload's builder
+(``Workload.build`` is deterministic, and no stage mutates its input
+program).  A workload re-registered under another name with other inputs
+shares its builder's program, and with it the interpreter's per-program
+state (block code, the first run's counts and the regions formed from
+them), so a cold build of it neither builds nor compiles again.
 """
 
 from __future__ import annotations
@@ -36,7 +44,9 @@ import contextlib
 import functools
 import threading
 import time
+import weakref
 from collections import OrderedDict
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -145,10 +155,33 @@ _MEMO: OrderedDict[tuple, WorkloadArtifacts] = OrderedDict()
 _MEMO_LOCK = threading.Lock()
 
 
+#: Each builder's program, built on first use.  Held weakly by the
+#: builder, so it lives as long as the builder does.
+_BUILT: weakref.WeakKeyDictionary[Callable[[], Program], Program] = (
+    weakref.WeakKeyDictionary()
+)
+
+
 def clear_memo() -> None:
-    """Forget every memoized hydration (the next store hit hydrates)."""
+    """Forget every memoized hydration and built program (the next store
+    hit hydrates, and the next build builds)."""
     with _MEMO_LOCK:
         _MEMO.clear()
+        _BUILT.clear()
+
+
+def _program(workload: Workload) -> Program:
+    """The workload's program: one object per builder and process.
+
+    Racing first builds each build; the program stored first is kept.
+    """
+    with _MEMO_LOCK:
+        program = _BUILT.get(workload.builder)
+    if program is None:
+        program = workload.build()
+        with _MEMO_LOCK:
+            program = _BUILT.setdefault(workload.builder, program)
+    return program
 
 
 def _memo_get(key: tuple) -> WorkloadArtifacts | None:
@@ -310,7 +343,7 @@ class ExperimentRunner:
         module lists what one holds)."""
         recorder = obs.current()
         with recorder.span("build", cat="pipeline"):
-            source = workload.build()
+            source = _program(workload)
         profiled = profile_execution(
             source, workload.profiling_inputs(self.scale), self.options.opt
         )
@@ -358,7 +391,7 @@ class ExperimentRunner:
         that does not fit."""
         profiles, arrays = payload.profiles, payload.arrays
         if profiled is None:
-            source = workload.build()
+            source = _program(workload)
             # The passes' profiles, replayed in the order they asked.
             opt_docs = list(profiles["opt"])
             program, opt_report, opt_profiles = run_opt(

@@ -31,7 +31,10 @@ Every exit
 appends the bids it ran to the block trace as one constant ``bytes`` and
 returns the next bid.  Code objects come from bounded process-wide
 caches keyed by the emitted source, which is the whole behaviour, so
-nothing else has to be fingerprinted.
+nothing else has to be fingerprinted.  A program's compiled blocks,
+first-run counts and regions are kept per ``Program`` object for as long
+as it lives; the experiment runner builds each workload's program once
+per process, so they serve every request for that program, not one.
 
 :meth:`Interpreter.run` is then a small loop over block ids.  While the
 trace is short enough that one more pass through any function surely
@@ -366,8 +369,9 @@ class _ProgramCode:
 
 
 #: The compiled code of each program that has run, for as long as the
-#: program lives: the profiling runs and the trace-generation run of one
-#: request share it, whichever ``Interpreter`` runs them.
+#: program lives: every run of it shares it, whichever ``Interpreter``
+#: runs it.  The experiment runner keeps one program per workload
+#: builder, so all requests for a workload share it.
 _PROGRAMS: weakref.WeakKeyDictionary[Program, _ProgramCode] = (
     weakref.WeakKeyDictionary()
 )
@@ -391,10 +395,12 @@ class Interpreter:
     :mod:`repro.interp.regions`): each trace head the paper's selector picks on
     the first run's profile, and each return point after a call that run
     executed, starts one function that runs many blocks per call.  All of
-    this is kept per ``Program`` object, so every ``Interpreter`` of one
-    program shares it, and code objects come from process-wide caches
-    keyed by the emitted source: later requests for the same program and
-    forked workers reuse them.
+    this is kept per ``Program`` object for as long as it lives, so every
+    ``Interpreter`` of one program shares it: with the experiment runner's
+    one program per workload builder, every request for a workload after
+    the first runs its regions from its first run.  Code objects come from
+    process-wide caches keyed by the emitted source, so other programs
+    with the same blocks and forked workers reuse them.
 
     Run state (registers, memory, streams, call stack, block trace) is
     bound per run, so one ``Interpreter`` may be run from several threads

@@ -14,10 +14,15 @@ That set depends on the program, not the policy, so the contexts are
 finite and shared by every report.  A report maps a context to one of
 its inlined chains by folding the sites from ``()``: a site the report
 expanded there extends the chain, any other site restarts it at ``()``.
+
+A program's per-block event tables are built once per ``Program``, and a
+report's chain numbering and copy table once per report, so profiling a
+program, projecting its profile and deriving its trace share them.
 """
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -37,6 +42,42 @@ __all__ = ["ContextProfile", "ContextProfiler", "derive_trace"]
 
 Context = tuple[int, ...]
 
+#: Each program's read-only ``(is_call, is_event, reset row)`` block
+#: tables (see :func:`_event_tables`), for as long as the program lives.
+_EVENT_TABLES: weakref.WeakKeyDictionary[
+    Program, tuple[np.ndarray, np.ndarray, np.ndarray]
+] = weakref.WeakKeyDictionary()
+
+#: Each inline report's chain numbers and copy table (see :func:`_chains`),
+#: for as long as the report lives.
+_CHAINS: weakref.WeakKeyDictionary[
+    InlineReport, tuple[dict[Context, int], np.ndarray]
+] = weakref.WeakKeyDictionary()
+
+
+def _event_tables(
+    program: Program,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per block of ``program``: whether it ends in a CALL, whether in a
+    CALL or RET, and the reset row of the child table (0 at a site whose
+    callee resets the context, -1 elsewhere)."""
+    tables = _EVENT_TABLES.get(program)
+    if tables is None:
+        never = program.recursive_functions() | {
+            function.name for function in program if function.is_syscall
+        }
+        is_call = np.asarray(program.block_callee_entry) >= 0
+        is_event = is_call | np.asarray(
+            [block.kind is Opcode.RET for block in program.blocks], bool
+        )
+        row = np.where(
+            [block.callee in never for block in program.blocks], 0, -1
+        )
+        for table in (is_call, is_event, row):
+            table.flags.writeable = False
+        tables = _EVENT_TABLES[program] = (is_call, is_event, row)
+    return tables
+
 
 class ContextProfiler:
     """Folds runs of a program into a :class:`ContextProfile` one at a
@@ -44,20 +85,11 @@ class ContextProfiler:
 
     def __init__(self, program: Program) -> None:
         self.program = program
-        never = program.recursive_functions() | {
-            function.name for function in program if function.is_syscall
-        }
-        self._is_call = np.asarray(program.block_callee_entry) >= 0
-        self._is_event = self._is_call | np.asarray(
-            [block.kind is Opcode.RET for block in program.blocks], bool
-        )
+        self._is_call, self._is_event, self._row = _event_tables(program)
         self.contexts: list[Context] = [()]
         # Row ``c`` of the child table maps a call site to the context a
         # call there from context ``c`` enters: 0 at a site whose callee
-        # resets the context, -1 while unseen.
-        self._row = np.where(
-            [block.callee in never for block in program.blocks], 0, -1
-        )
+        # resets the context, -1 while unseen (a row starts as ``_row``).
         self._child = self._row.copy()
         self._totals = np.zeros(0, dtype=np.int64)
         self._run_instructions: list[int] = []
@@ -175,6 +207,24 @@ class ContextProfiler:
                               counts[keys], tuple(self._run_instructions))
 
 
+def _chains(
+    report: InlineReport, num_blocks: int
+) -> tuple[dict[Context, int], np.ndarray]:
+    """The number of each chain ``report`` inlined along (``()`` is 0),
+    and the read-only table of the inlined bid of each (chain number,
+    pre-inline bid) pair, -1 where the inlined program has no copy."""
+    cached = _CHAINS.get(report)
+    if cached is None:
+        chains: dict[Context, int] = {(): 0}
+        rows = [chains.setdefault(chain, len(chains))
+                for chain, _ in report.origins]
+        remap = np.full((len(chains), num_blocks), -1, dtype=np.int64)
+        remap[rows, [bid for _, bid in report.origins]] = np.arange(len(rows))
+        remap.flags.writeable = False
+        cached = _CHAINS[report] = (chains, remap)
+    return cached
+
+
 def _project(
     contexts: Iterable[Context], report: InlineReport, num_blocks: int,
     codes: np.ndarray,
@@ -183,12 +233,7 @@ def _project(
 
     Raises ``ValueError`` for a block the inlined program has no copy of.
     """
-    chains: dict[Context, int] = {(): 0}
-    for chain, _ in report.origins:
-        chains.setdefault(chain, len(chains))
-    remap = np.full((len(chains), num_blocks), -1, dtype=np.int64)
-    for new_bid, (chain, bid) in enumerate(report.origins):
-        remap[chains[chain], bid] = new_bid
+    chains, remap = _chains(report, num_blocks)
     folded = []
     for context in contexts:
         chain: Context = ()
@@ -266,7 +311,7 @@ def derive_trace(
     and RET→JMP both leave through the terminator.
     """
     contexts, codes = [()], trace.block_ids
-    if any(chain for chain, _ in report.origins):
+    if len(_chains(report, program.num_blocks)[0]) > 1:
         walk = ContextProfiler(program)
         codes = walk.codes(codes)
         contexts = walk.contexts

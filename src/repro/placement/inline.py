@@ -97,9 +97,12 @@ class InlinedSite:
     weight: int
 
 
-@dataclass
+@dataclass(eq=False)
 class InlineReport:
-    """What the inliner did — the raw material of the paper's Table 3."""
+    """What the inliner did — the raw material of the paper's Table 3.
+
+    Compared by identity, so projections can key tables by report.
+    """
 
     original_instructions: int
     final_instructions: int

@@ -433,7 +433,7 @@ class TestInstrumentation:
         # Region formation runs the paper's selector too, but under the
         # null recorder: a build that runs regions reports the same
         # Step 3 counters as one that runs blocks only.
-        from repro.experiments.runner import ExperimentRunner
+        from repro.experiments.runner import ExperimentRunner, clear_memo
         from repro.interp import regions as interp_regions
 
         formed = []
@@ -445,6 +445,8 @@ class TestInstrumentation:
 
         def selection_counters(regions):
             monkeypatch.setattr(interp_regions, "Regions", regions)
+            # A fresh program, so its regions form inside this build.
+            clear_memo()
             rec = Recorder()
             with obs.use(rec):
                 ExperimentRunner(scale="small", store=None).artifacts("wc")
